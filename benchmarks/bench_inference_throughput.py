@@ -15,10 +15,11 @@ batch size and to demonstrate the PR 2 acceptance bar: instrumented
 decoding is bit-identical to ``generate_fast`` and within a few percent
 of its uninstrumented throughput.  ``--trace`` dumps the Chrome trace.
 
-Two PR 8 phases ride along in the same record: ``memory`` runs the
-workload on the dense and paged KV backends, asserts bit-identical
-outputs, and reports held KV bytes per concurrent request (the paged
-pool only pays for pages actually written); ``prefix`` decodes requests
+Two KV phases ride along in the same record: ``memory`` runs the
+workload on the paged engine, asserts outputs bit-identical to
+per-prompt ``generate_fast`` on the dense cache, and reports held KV
+bytes per concurrent request against a dense ``batch x max_seq_len``
+buffer (the paged pool only pays for pages actually written); ``prefix`` decodes requests
 sharing a 48-token system prompt and reports cold-vs-warm TTFT and
 prefill steps — warm requests reuse the cached prompt pages and skip
 the covered positions.
@@ -90,22 +91,21 @@ def _build(smoke: bool,
 def _memory_phase(model, prompts, max_new) -> dict:
     """KV memory per concurrent request: dense buffer vs paged pool.
 
-    Runs the same workload on both backends, asserts the outputs are
-    bit-identical (the PR 8 acceptance bar), and reports held KV bytes
-    per concurrent request — the dense cache pays ``max_seq_len``
-    positions per slot up front, the paged pool only what the sequences
-    actually used at peak.
+    Runs the workload on the paged engine, asserts the outputs are
+    bit-identical to per-prompt ``generate_fast`` on the dense cache,
+    and reports held KV bytes per concurrent request — a dense buffer
+    pays ``max_seq_len`` positions per slot up front (batch x
+    ``max_seq_len`` x per-token K+V bytes), the paged pool only what
+    the sequences actually used at peak.
     """
     batch = len(prompts)
-    dense = GenerationEngine(model, batch_size=batch, params=_GREEDY,
-                             paged=False)
-    dense_out = dense.generate(prompts, max_new)
-    dense_bytes = dense.cache.nbytes
-
     paged = GenerationEngine(model, batch_size=batch, params=_GREEDY)
     paged_out = paged.generate(prompts, max_new)
-    assert paged_out == dense_out, "paged engine diverged from dense"
+    assert paged_out == [model.generate_fast(p, max_new, greedy=True)
+                         for p in prompts], "paged engine diverged from dense"
     cache = paged.cache
+    token_bytes = cache.page_bytes // cache.page_size   # K+V, every layer
+    dense_bytes = batch * cache.max_seq_len * token_bytes
     paged_bytes = cache.peak_pages_used * cache.page_bytes
     return {
         "batch_size": batch,

@@ -153,16 +153,12 @@ class MultiHeadSelfAttention(Module):
         """Incremental decoding: one new position against cached keys/values.
 
         ``x_last`` is the (B, 1, d_model) input for the newest position;
-        ``state`` persists this layer's K/V between calls.  Two cache
-        backends are supported:
-
-        - a plain ``dict`` (the original single-sequence path), which
-          concatenates per step and — with a local-attention ``window`` —
-          is trimmed to the last ``window`` positions so long generations
-          hold O(window) memory instead of growing without bound;
-        - a preallocated layer view with an ``append(k, v)`` method
-          (:class:`repro.infer.KVCache` layers), which writes in place and
-          may return an additive key-position mask for ragged batches.
+        ``state`` is this layer's view of a KV cache (a layer of
+        :class:`repro.infer.PagedKVCache` or :class:`repro.infer.KVCache`):
+        ``state.append(k, v)`` stores the new keys/values and returns
+        ``(keys, values, mask)`` over every position the rows attend to,
+        with an additive key-position mask for ragged batches (``None``
+        when every row sees the same positions).
 
         Inference-only plain-NumPy math — per-token cost O(T) instead of
         the O(T^2) of re-running the full forward.
@@ -175,20 +171,7 @@ class MultiHeadSelfAttention(Module):
             return t.reshape(batch, self.num_heads, self.head_dim)
 
         q, k, v = heads(q), heads(k), heads(v)  # (B, H, hd)
-        if isinstance(state, dict):
-            if "k" in state:
-                state["k"] = np.concatenate([state["k"], k[:, :, None, :]], axis=2)
-                state["v"] = np.concatenate([state["v"], v[:, :, None, :]], axis=2)
-            else:
-                state["k"] = k[:, :, None, :]
-                state["v"] = v[:, :, None, :]
-            if self.window is not None and state["k"].shape[2] > self.window:
-                state["k"] = state["k"][:, :, -self.window :, :]
-                state["v"] = state["v"][:, :, -self.window :, :]
-            keys, values = state["k"], state["v"]  # (B, H, t, hd)
-            mask = None
-        else:
-            keys, values, mask = state.append(k, v)
+        keys, values, mask = state.append(k, v)  # (B, H, t, hd)
         # float(): a np.float64 divisor would upcast float32 scores (NEP 50
         # keeps numpy scalars strong); a Python float follows the array.
         scores = np.einsum("bhd,bhtd->bht", q, keys) / float(np.sqrt(self.head_dim))

@@ -152,12 +152,6 @@ class TransformerLM(Module, LanguageModel):
     # ------------------------------------------------------------------
     # KV-cache incremental decoding
     # ------------------------------------------------------------------
-    def _embed_position(self, token: int, position: int) -> np.ndarray:
-        """(1, 1, d) input vector for one token at an absolute position."""
-        return self._embed_positions(
-            np.asarray([token], dtype=np.int64), np.asarray([position], dtype=np.int64)
-        )
-
     def _embed_positions(self, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """(B, 1, d) input batch for B tokens at absolute positions."""
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -172,11 +166,13 @@ class TransformerLM(Module, LanguageModel):
     def decode_step(self, tokens, positions, states) -> np.ndarray:
         """One batched KV-cached decode step: (B,) tokens -> (B, V) logits.
 
-        ``states`` holds one per-layer cache each — either plain dicts or
-        the layer views of a preallocated :class:`repro.infer.KVCache`
-        (whose ``advance()`` the caller commits after this returns).
-        Plain-NumPy inference math mirroring :meth:`forward` exactly for
-        the newest position of every row.
+        ``states`` holds one KV-cache layer view per block — the
+        ``layers`` of a :class:`repro.infer.PagedKVCache` whose step plan
+        the caller installed (``begin_spans``), or of the dense
+        :class:`repro.infer.KVCache` (whose ``advance()`` the caller
+        commits after this returns).  Rows may be different sequences or
+        consecutive positions of one sequence.  Plain-NumPy inference
+        math mirroring :meth:`forward` exactly for each row's position.
         """
         x = self._embed_positions(tokens, positions)
         for block, state in zip(self.blocks, states):

@@ -1,26 +1,30 @@
-"""Batched inference: preallocated KV cache + continuous-batching engine.
+"""Batched inference: KV caches + a continuous-batching engine.
 
 ``repro.core`` ends the §6 recipe at single-sequence sampling; this
 package is the serving layer on top of it.  :class:`KVCache` replaces the
 per-token ``np.concatenate`` cache growth with one up-front allocation
-and in-place appends, and :class:`GenerationEngine` decodes a whole pool
-of prompts per model step, admitting queued prompts into retired slots so
-throughput scales with batch size instead of user count.
+and in-place appends (the batch-1 ``generate_fast`` loop), and
+:class:`GenerationEngine` decodes a whole pool of prompts per model step,
+admitting queued prompts into retired slots so throughput scales with
+batch size instead of user count.
 
-:class:`PagedKVCache` (PR 8) is the engine's default backend: KV storage
-lives in fixed-size refcounted pages with per-slot block tables, so
-memory tracks actual sequence lengths, identical prompt prefixes are
-shared across requests via :class:`PrefixCache`, and forks copy-on-write
-— bit-identical to the dense cache on non-shared workloads (see
-docs/KV_CACHE.md).
+The engine runs on :class:`PagedKVCache`: KV storage lives in fixed-size
+refcounted pages with per-slot block tables, so memory tracks actual
+sequence lengths, identical prompt prefixes are shared across requests
+via :class:`PrefixCache`, and forks copy-on-write.  Every engine step is
+one span plan (:class:`SpanBatch`, installed by
+:meth:`PagedKVCache.begin_spans`): ``(slot, start, m)`` per active
+sequence, one position for plain decoding, up to k+1 on a forked slot
+for a speculative verify.  Greedy and seeded output is bit-identical to
+per-prompt ``generate_fast`` (see docs/KV_CACHE.md).
 
-PR 9 adds per-request :class:`SamplingParams` (each submit carries its
-own temperature/top-k/top-p/stop/seed; the engine groups identical
-params into one vectorized sampler call) and speculative decoding
-(:class:`SpeculativeConfig` + any :class:`DraftModel`): a cheap draft
-proposes k tokens, one batched verify forward over a forked KV branch
-accepts a prefix, and greedy output stays bit-identical to the
-non-speculative engine (see docs/SPECULATIVE.md).
+Sampling is per request (:class:`SamplingParams`: temperature, top-k,
+top-p, stop token, seed; the engine groups identical params into one
+vectorized sampler call).  Speculative decoding
+(:class:`SpeculativeConfig` + any :class:`DraftModel`) lets a cheap
+draft propose k tokens that one batched verify accepts a prefix of;
+greedy output stays bit-identical to plain decoding (see
+docs/SPECULATIVE.md).
 """
 
 from .engine import (GenerationEngine, GenerationResult, PromptLimitError,

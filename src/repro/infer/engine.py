@@ -1,19 +1,27 @@
-"""Continuous-batching generation engine over the preallocated KV cache.
+"""Continuous-batching generation engine over the paged KV cache.
 
 ``TransformerLM.generate_fast`` serves one prompt at a time: N users cost
 N full decode loops.  :class:`GenerationEngine` instead keeps a fixed pool
-of ``batch_size`` cache slots and advances *every* active sequence by one
-token per model step — one batched ``decode_step`` instead of one step per
-user.  Sequences are admitted from a queue, left-aligned at position 0
-with their own per-slot length counters (so a short prompt starts sampling
+of ``batch_size`` cache slots and advances *every* active sequence per
+model step — one batched ``decode_step`` instead of one step per user.
+Sequences are admitted from a queue, left-aligned at position 0 with
+their own per-slot length counters (so a short prompt starts sampling
 while a long one is still prefilling), and retired independently the
 moment they emit their stop token or exhaust their token budget; a queued
 prompt immediately takes the freed slot (continuous batching), so the
 batch stays full whenever there is work.
 
-Sampling is configured **per request** (PR 9): each submit carries a
-:class:`~repro.infer.SamplingParams` (engine-wide constructor knobs
-survive as deprecated defaults), and the sampler groups slots with
+One decode loop: every :meth:`GenerationEngine.step` builds one *span
+plan* — ``(slot, start, m)`` per active sequence, ``m`` consecutive
+positions laid out along the batch axis — installs it with
+:meth:`~repro.infer.PagedKVCache.begin_spans`, and runs one
+``decode_step`` over ``cache.layers``.  Plain decoding is ``m = 1`` for
+every sequence (one-position prefill included); speculative decoding
+adds verify spans of up to ``k + 1`` rows on a forked slot.
+
+Sampling is configured **per request**: each submit carries a
+:class:`~repro.infer.SamplingParams` (``params=`` on the constructor
+sets the default), and the sampler groups slots with
 identical parameters into one vectorized
 :func:`repro.core.sampling.sample_token` call per group, drawing from
 the engine RNG in slot order.  When every slot shares the default
@@ -24,13 +32,12 @@ one is bit-identical to the single-sequence path for the same seed.  A
 request with ``seed`` set draws from its own private RNG, making its
 trajectory independent of batch composition.
 
-Speculative decoding (PR 9): passing a
+Speculative decoding: passing a
 :class:`~repro.infer.SpeculativeConfig` makes every decode round draft
 ``k`` tokens from a cheap :class:`~repro.infer.DraftModel` (the
 classical LMs in :mod:`repro.lm` via
 :class:`~repro.lm.LanguageModelDraft`), verify all of them plus the
-pending token in one batched ``decode_step`` laid out as a paged *span
-batch* (time along the batch axis, writing into a
+pending token as one verify span of the step's plan (writing into a
 :meth:`~repro.infer.PagedKVCache.fork_slot` of the sequence's slot),
 and keep the longest accepted prefix by rejection sampling —
 :meth:`~repro.infer.PagedKVCache.promote_fork` commits the accepted
@@ -39,7 +46,7 @@ decode bit-identically to the non-speculative engine while emitting up
 to k+1 tokens per model step; stochastic requests stay
 distribution-correct (docs/SPECULATIVE.md gives the argument).
 
-Serving telemetry (PR 2): every request is stamped through its lifecycle
+Serving telemetry: every request is stamped through its lifecycle
 — submitted, admitted to a slot, first sampled token, finished — so each
 :class:`GenerationResult` carries a :class:`RequestTiming` with queue
 wait, prefill vs. decode split, time-to-first-token, and tokens/sec.
@@ -49,21 +56,20 @@ wait, prefill vs. decode split, time-to-first-token, and tokens/sec.
 ``engine.*`` metrics, and request lifecycle events; the stamps never
 touch the RNG stream, so instrumented decoding stays bit-identical.
 
-KV backends (PR 8): the engine runs on the paged
-:class:`~repro.infer.PagedKVCache` by default — admission reserves KV
-*pages* instead of assuming a dense ``slots x max_len`` buffer, prompts
-sharing a cached prefix skip the covered prefill positions, retirement
-and :meth:`GenerationEngine.cancel` return pages to the pool, and an
+KV pages: the engine runs on :class:`~repro.infer.PagedKVCache` —
+admission reserves KV *pages* instead of assuming a dense
+``slots x max_len`` buffer, prompts sharing a cached prefix skip the
+covered prefill positions, retirement and
+:meth:`GenerationEngine.cancel` return pages to the pool, and an
 oversubscribed pool preempts the youngest sequence instead of crashing
-mid-decode.  ``paged=False`` restores the dense cache; the two produce
-bit-identical trajectories on non-shared workloads (docs/KV_CACHE.md
-gives the argument, tests/test_infer_engine.py the proof).
+mid-decode.  Greedy and seeded trajectories are bit-identical to
+per-prompt ``generate_fast`` on the dense cache (docs/KV_CACHE.md gives
+the argument, tests/test_paged_kv.py the proof).
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -71,7 +77,6 @@ import numpy as np
 
 from ..core.sampling import sample_token
 from ..obs import NULL_OBS, Observability
-from .kv_cache import KVCache
 from .paged_kv import PagedKVCache
 from .sampling_params import SamplingParams
 from .speculative import SpeculativeConfig, verify_draft
@@ -81,8 +86,8 @@ class PromptLimitError(ValueError):
     """A request that can never fit: structured rejection for serving.
 
     Raised by :meth:`GenerationEngine.submit` with a ``limits`` dict
-    (prompt_len, max_new_tokens, the cache's max_seq_len, and — under a
-    paged cache — pool capacity) so the HTTP layer can return the same
+    (prompt_len, max_new_tokens, the cache's max_seq_len, and the KV
+    pool's page count) so the HTTP layer can return the same
     structured 400 on the blocking and streaming paths instead of each
     reformatting a bare string.
     """
@@ -172,12 +177,9 @@ class GenerationEngine:
     Sampling is configured per request via
     :class:`~repro.infer.SamplingParams` (``params=`` on
     :meth:`submit`); ``params=`` on the constructor sets the default for
-    requests that do not carry their own.  The engine-wide
-    ``temperature``/``top_k``/``top_p``/``greedy``/``stop_token``
-    arguments survive as a deprecated spelling of that default and emit
-    a :class:`DeprecationWarning`.  ``speculative=`` (a
+    requests that do not carry their own.  ``speculative=`` (a
     :class:`~repro.infer.SpeculativeConfig`) turns on draft-and-verify
-    decoding over the paged cache.
+    decoding.
     """
 
     def __init__(
@@ -185,14 +187,8 @@ class GenerationEngine:
         model,
         batch_size: int = 8,
         rng: np.random.Generator | None = None,
-        temperature: float | None = None,
-        top_k: int | None = None,
-        top_p: float | None = None,
-        greedy: bool | None = None,
-        stop_token: int | None = None,
         obs: Observability | None = None,
         on_token=None,
-        paged: bool = True,
         kv_page_size: int = 16,
         kv_num_pages: int | None = None,
         prefix_cache: bool = True,
@@ -204,22 +200,6 @@ class GenerationEngine:
         self.model = model
         self.batch_size = batch_size
         self.rng = rng
-        legacy = {"temperature": temperature, "top_k": top_k,
-                  "top_p": top_p, "greedy": greedy, "stop_token": stop_token}
-        passed = {name: value for name, value in legacy.items()
-                  if value is not None}
-        if passed:
-            warnings.warn(
-                "engine-wide sampling arguments (temperature/top_k/top_p/"
-                "greedy/stop_token) are deprecated; pass "
-                "params=SamplingParams(...) as the engine default or "
-                "per-request via submit(..., params=...)",
-                DeprecationWarning, stacklevel=2)
-            if params is not None:
-                raise ValueError(
-                    "pass the sampling default via params= or the "
-                    "deprecated engine-wide arguments, not both")
-            params = SamplingParams(**passed)
         self.default_params = params if params is not None else SamplingParams()
         # Per-token hook for streaming consumers (the serving layer):
         # called as on_token(request_id, token) for every sampled token,
@@ -227,35 +207,27 @@ class GenerationEngine:
         # Runs inside step(), so callbacks must be cheap and must never
         # touch the engine's RNG.
         self.on_token = on_token
-        # Paged is the default backend: same bits out (see
-        # docs/KV_CACHE.md), far less memory held per short request, and
-        # prefix sharing across requests.  ``paged=False`` keeps the
-        # dense preallocated cache, the equivalence oracle.
-        self._paged = paged
         self.spec = speculative
-        if speculative is not None and not paged:
-            raise ValueError(
-                "speculative decoding requires the paged KV cache "
-                "(fork_slot/promote_fork); drop paged=False")
-        if paged:
-            # Speculative mode doubles the slot count: slot i's draft
-            # branch verifies on scratch slot batch_size + i.  The pool
-            # is sized for the *real* batch plus per-slot speculation
-            # headroom (the span's fresh pages and one copy-on-write of
-            # the fork boundary page), not for 2x dense capacity.
-            slots = batch_size
-            num_pages = kv_num_pages
-            if speculative is not None:
-                slots = 2 * batch_size
-                if num_pages is None:
-                    per_slot = -(-model.config.max_seq_len // kv_page_size)
-                    margin = -(-(speculative.k + 1) // kv_page_size) + 1
-                    num_pages = batch_size * (per_slot + margin)
-            self.cache = PagedKVCache.for_model(
-                model, slots, page_size=kv_page_size,
-                num_pages=num_pages, prefix_sharing=prefix_cache)
-        else:
-            self.cache = KVCache.for_model(model, batch_size)
+        # Positions one step may feed a still-prefilling sequence: one
+        # in plain decoding (one-position prefill), k+1 under
+        # speculation (chunked prefill at the verify span's width).
+        self._chunk = 1 if speculative is None else speculative.k + 1
+        # Speculative mode doubles the slot count: slot i's draft branch
+        # verifies on scratch slot batch_size + i.  The pool is sized
+        # for the *real* batch plus per-slot speculation headroom (the
+        # span's fresh pages and one copy-on-write of the fork boundary
+        # page), not for 2x dense capacity.
+        slots = batch_size
+        num_pages = kv_num_pages
+        if speculative is not None:
+            slots = 2 * batch_size
+            if num_pages is None:
+                per_slot = -(-model.config.max_seq_len // kv_page_size)
+                margin = -(-(speculative.k + 1) // kv_page_size) + 1
+                num_pages = batch_size * (per_slot + margin)
+        self.cache = PagedKVCache.for_model(
+            model, slots, page_size=kv_page_size,
+            num_pages=num_pages, prefix_sharing=prefix_cache)
         self._slots: list[_Sequence | None] = [None] * batch_size
         self._queue: deque[_Sequence] = deque()
         self._results: list[GenerationResult] = []
@@ -309,33 +281,8 @@ class GenerationEngine:
             "engine.spec.accepted_tokens_per_step")
 
     # ------------------------------------------------------------------
-    # Sampling defaults (deprecated engine-wide views + resolution)
+    # Sampling defaults
     # ------------------------------------------------------------------
-    @property
-    def temperature(self) -> float:
-        """Deprecated engine-wide view of ``default_params.temperature``."""
-        return self.default_params.temperature
-
-    @property
-    def top_k(self) -> int | None:
-        """Deprecated engine-wide view of ``default_params.top_k``."""
-        return self.default_params.top_k
-
-    @property
-    def top_p(self) -> float | None:
-        """Deprecated engine-wide view of ``default_params.top_p``."""
-        return self.default_params.top_p
-
-    @property
-    def greedy(self) -> bool:
-        """Deprecated engine-wide view of ``default_params.greedy``."""
-        return self.default_params.greedy
-
-    @property
-    def stop_token(self) -> int | None:
-        """Deprecated engine-wide view of ``default_params.stop_token``."""
-        return self.default_params.stop_token
-
     def resolve_params(self, params: SamplingParams | None = None,
                        stop_token=...) -> SamplingParams:
         """The parameters a request submitted with these arguments gets.
@@ -474,8 +421,7 @@ class GenerationEngine:
 
         Validates against the *cache's* ``max_seq_len`` (not the model
         config read separately — the two can differ when a cache is
-        sized explicitly), and under a paged cache also against total
-        pool capacity.  Every ``submit`` caller — blocking and streaming
+        sized explicitly), and against total pool capacity.  Every ``submit`` caller — blocking and streaming
         serving paths included — hits this one check, so a borderline
         request (``prompt_len + max_new_tokens == max_seq_len``) is
         accepted or rejected identically everywhere; failures raise
@@ -492,19 +438,18 @@ class GenerationEngine:
             raise PromptLimitError(
                 f"prompt + max_new_tokens = {total} exceeds window "
                 f"L={self.cache.max_seq_len}", limits)
-        if self._paged:
-            limits["kv_num_pages"] = self.cache.num_pages
-            need = self.cache.pages_for(total)
-            if self.spec is not None:
-                # Speculative rounds need scratch headroom on top of the
-                # sequence itself: the verify span's pages plus one
-                # copy-on-write of the fork boundary page.
-                need += self.cache.pages_for(self.spec.k + 1) + 1
-            if need > self.cache.num_pages:
-                raise PromptLimitError(
-                    f"prompt + max_new_tokens = {total} needs "
-                    f"{need} KV pages; the pool "
-                    f"holds {self.cache.num_pages}", limits)
+        limits["kv_num_pages"] = self.cache.num_pages
+        need = self.cache.pages_for(total)
+        if self.spec is not None:
+            # Speculative rounds need scratch headroom on top of the
+            # sequence itself: the verify span's pages plus one
+            # copy-on-write of the fork boundary page.
+            need += self.cache.pages_for(self.spec.k + 1) + 1
+        if need > self.cache.num_pages:
+            raise PromptLimitError(
+                f"prompt + max_new_tokens = {total} needs "
+                f"{need} KV pages; the pool "
+                f"holds {self.cache.num_pages}", limits)
 
     @staticmethod
     def _trace_fields(trace_ctx) -> dict:
@@ -535,22 +480,19 @@ class GenerationEngine:
                 break
             if self._slots[slot] is None:
                 seq = self._queue[0]
-                if self._paged:
-                    # Page-availability admission: attach any cached
-                    # prefix pages and reserve the prompt's fresh pages;
-                    # when the pool cannot supply them, keep the request
-                    # (and everything behind it — FIFO) queued.
-                    cached = self.cache.try_admit(slot, seq.tokens)
-                    if cached is None:
-                        break
-                    if cached != seq.fed:
-                        seq.fed = cached
-                        self._events.emit(
-                            "prefix_cache_hit", request_id=seq.request_id,
-                            cached_tokens=cached,
-                            **self._trace_fields(seq.trace_ctx))
-                else:
-                    self.cache.reset_slot(slot)
+                # Page-availability admission: attach any cached prefix
+                # pages and reserve the prompt's fresh pages; when the
+                # pool cannot supply them, keep the request (and
+                # everything behind it — FIFO) queued.
+                cached = self.cache.try_admit(slot, seq.tokens)
+                if cached is None:
+                    break
+                if cached != seq.fed:
+                    seq.fed = cached
+                    self._events.emit(
+                        "prefix_cache_hit", request_id=seq.request_id,
+                        cached_tokens=cached,
+                        **self._trace_fields(seq.trace_ctx))
                 self._queue.popleft()
                 if now is None:
                     now = self._clock()
@@ -570,9 +512,30 @@ class GenerationEngine:
                 self._slots[slot] = seq
         self._sync_gauges()
 
-    def _relieve_page_pressure(self, active: list[int],
-                               shortfall=None) -> list[int]:
-        """Preempt youngest-first until the next step's pages fit the pool.
+    def _span_shape(self, seq: _Sequence) -> tuple[int, int]:
+        """``(m, k)``: positions ``seq`` feeds this step, ``k`` of them drafts.
+
+        A still-prefilling sequence feeds up to ``self._chunk`` known
+        tokens; a sequence at the decode rest point (one pending token)
+        feeds it plus, under speculation, ``k`` drafts — capped so the
+        round never drafts past its token budget.  A preemption replay
+        of sampled tokens stops at the rest point, so the sequence
+        resumes with the same round — and the same RNG draws — it would
+        have run unpreempted.
+        """
+        remaining = len(seq.tokens) - seq.fed
+        if remaining > 1:
+            if len(seq.tokens) > seq.prompt_len:
+                remaining -= 1
+            return min(remaining, self._chunk), 0
+        if self.spec is None:
+            return 1, 0
+        budget = seq.max_new_tokens - (len(seq.tokens) - seq.prompt_len)
+        k = max(0, min(self.spec.k, budget - 1))
+        return 1 + k, k
+
+    def _relieve_page_pressure(self, active: list[int]) -> list[int]:
+        """Preempt youngest-first until the next step's spans fit the pool.
 
         An oversubscribed pool can run dry mid-decode: several slots hit
         a page boundary in the same step with the free list empty.
@@ -584,14 +547,17 @@ class GenerationEngine:
         usually make the replay a cache hit.  The oldest sequence is
         never preempted, so the engine always makes progress (a lone
         sequence fits by the :meth:`submit` capacity check).
-
-        ``shortfall`` (a callable over the active slot list) defaults to
-        the one-position-per-slot estimate; the speculative step passes
-        its own span-aware bound.
         """
-        if shortfall is None:
-            shortfall = self.cache.step_page_shortfall
-        while len(active) > 1 and shortfall(active) > 0:
+        def need() -> int:
+            total = 0
+            for slot in active:
+                seq = self._slots[slot]
+                m, k = self._span_shape(seq)
+                total += self.cache.span_page_need(slot, seq.fed, m,
+                                                   fork=k > 0)
+            return total
+
+        while len(active) > 1 and need() > self.cache.available_pages:
             slot = max(active, key=lambda s: self._slots[s].request_id)
             seq = self._slots[slot]
             self._slots[slot] = None
@@ -691,219 +657,125 @@ class GenerationEngine:
         )
         return result
 
+    def _retire(self, slot: int, seq: _Sequence, reason: str, now: float,
+                finished: list[GenerationResult]) -> None:
+        """Finish ``seq`` and reclaim its slot's pages immediately (not
+        lazily at the next admission): prefix-cached pages drop to
+        refcount 1 and become evictable, everything else goes straight
+        back to the free list."""
+        finished.append(self._finish_seq(seq, reason, now))
+        self._slots[slot] = None
+        self.cache.reset_slot(slot)
+
     def step(self) -> list[GenerationResult]:
         """Advance every active sequence; return newly finished results
         (empty list while everything is still running).
 
-        One model step advances each sequence by one token — or, under
-        a :class:`~repro.infer.SpeculativeConfig`, by up to ``k + 1``
-        accepted tokens (see :meth:`_spec_step`).
+        One model step is one span plan over the paged cache: each
+        active sequence contributes a span ``(slot, start, m)`` of
+        consecutive positions, and one batched ``decode_step`` runs them
+        all, with every layer reading the plan through
+        ``self.cache.layers``:
+
+        - a *feed* span writes known tokens on the sequence's own slot —
+          one position in plain decoding, up to ``k + 1`` under
+          speculation (chunked prefill).  It commits, and when it
+          reaches the end of the sequence its last row samples a token
+          through the grouped :meth:`_sample_rows`;
+        - a *verify* span (speculation only) forks the slot to scratch
+          slot ``batch_size + slot``, drafts ``k`` tokens, and feeds the
+          pending token plus the drafts there; :func:`verify_draft`
+          keeps the accepted prefix and
+          :meth:`~repro.infer.PagedKVCache.promote_fork` commits it.
+
+        Greedy sequences decode the same tokens with or without
+        speculation: every row sees byte-identical history (a span
+        writes exactly what sequential one-position steps would have
+        written), and the greedy accept rule emits the argmax at every
+        position.
         """
-        if self.spec is not None:
-            return self._spec_step()
         self._admit()
         active = [slot for slot in range(self.batch_size)
                   if self._slots[slot] is not None]
-        if self._paged:
-            active = self._relieve_page_pressure(active)
-        if not active:
-            return []
-        sequences = [self._slots[slot] for slot in active]
-        tokens = np.array([seq.tokens[seq.fed] for seq in sequences], dtype=np.int64)
-        positions = np.array([seq.fed for seq in sequences], dtype=np.int64)
-
-        self.cache.set_active(np.asarray(active, dtype=np.int64))
-        step_t0 = self._clock() if self._tracer.enabled else 0.0
-        with self._tracer.span("engine.step", active=len(active),
-                               queued=len(self._queue)):
-            logits = self.model.decode_step(tokens, positions, self.cache.layers)
-        self.cache.advance()
-        self.total_steps += 1
-        self._active_slot_steps += len(active)
-        self._c_steps.inc()
-        for row, seq in enumerate(sequences):
-            seq.fed += 1
-            seq.steps += 1
-            if self._paged and seq.fed == seq.prompt_len:
-                # Prompt fully ingested: publish its full pages so later
-                # requests sharing the prefix skip this work (idempotent
-                # if the pages came from the cache in the first place).
-                # Only the fed prefix is published — after a preemption
-                # replay ``tokens`` holds sampled tokens beyond ``fed``
-                # whose positions are not written yet.
-                self.cache.register_prefix(active[row], seq.tokens[:seq.fed])
-
-        # Rows that have now seen their whole sequence need a fresh token:
-        # the last prompt token just went in, or the previous sample did.
-        sampling = [row for row, seq in enumerate(sequences)
-                    if seq.fed == len(seq.tokens)]
-        finished: list[GenerationResult] = []
-        if sampling:
-            drawn = self._sample_rows(logits, sampling,
-                                      [sequences[row] for row in sampling])
-            now = self._clock()
-            self._sampled_tokens += len(sampling)
-            self._c_sampled.inc(len(sampling))
-            for row, token in zip(sampling, (int(t) for t in drawn)):
-                seq = sequences[row]
-                reason = self._land_token(seq, token, now, step_t0)
-                if reason is None:
-                    continue
-                finished.append(self._finish_seq(seq, reason, now))
-                self._slots[active[row]] = None
-                # Reclaim the slot's pages immediately (not lazily at
-                # the next admission): prefix-cached pages drop to
-                # refcount 1 and become evictable, everything else goes
-                # straight back to the free list.
-                self.cache.reset_slot(active[row])
-        self._results.extend(finished)
-        self._sync_gauges()
-        return finished
-
-    # ------------------------------------------------------------------
-    # Speculative decode loop
-    # ------------------------------------------------------------------
-    def _spec_page_shortfall(self, active: list[int], chunk: int) -> int:
-        """Upper bound on pages this speculative round needs beyond the
-        pool: per slot, the span's fresh pages plus one potential
-        copy-on-write of the fork boundary page."""
-        cache = self.cache
-        needed = 0
-        for slot in active:
-            seq = self._slots[slot]
-            remaining = len(seq.tokens) - seq.fed
-            m = chunk if remaining == 1 else min(remaining, chunk)
-            end = min(seq.fed + m, cache.max_seq_len)
-            fresh = cache.pages_for(end) - len(cache.block_tables[slot])
-            needed += max(fresh, 0) + 1
-        return needed - cache.available_pages
-
-    def _spec_step(self) -> list[GenerationResult]:
-        """One speculative round: draft, verify in one forward, commit.
-
-        Every active slot contributes one *span* of consecutive
-        positions to a single batched ``decode_step``:
-
-        - a still-prefilling sequence feeds up to ``k + 1`` known
-          tokens on its own slot (chunked prefill — same writes the
-          one-position path would do, k+1 steps at a time);
-        - a sequence at the decode rest point forks its slot to the
-          scratch slot ``batch_size + slot``, drafts ``k'`` tokens, and
-          verifies pending + drafts there; the accept-prefix rule then
-          decides how much of the scratch branch
-          :meth:`~repro.infer.PagedKVCache.promote_fork` keeps.
-
-        Greedy sequences reproduce the non-speculative trajectory
-        bit-for-bit: the verify rows see byte-identical histories (the
-        span writes exactly what sequential steps would have written),
-        and the greedy accept rule emits argmax at every position.
-        """
-        spec = self.spec
-        chunk = spec.k + 1
-        self._admit()
-        active = [slot for slot in range(self.batch_size)
-                  if self._slots[slot] is not None]
-        active = self._relieve_page_pressure(
-            active, lambda slots: self._spec_page_shortfall(slots, chunk))
+        active = self._relieve_page_pressure(active)
         if not active:
             return []
         # Build the span plan.  Drafting happens before the forward and
         # consumes each sequence's own RNG (or the engine RNG) in slot
         # order; greedy drafting consumes none.
-        plans = []   # (slot, seq, kind, row_lo, row_hi, drafts, q)
-        span_specs = []
+        spans = []
+        feeds = []      # (slot, seq, m, last row)
+        verifies = []   # (slot, seq, first row, drafts, q)
         tokens: list[int] = []
-        row = 0
         for slot in active:
             seq = self._slots[slot]
             f = seq.fed
-            remaining = len(seq.tokens) - f
-            if remaining > 1:
-                m = min(remaining, chunk)
-                span_tokens = seq.tokens[f:f + m]
-                span_specs.append((slot, f, m))
-                plans.append((slot, seq, "feed", row, row + m, None, None))
+            m, k = self._span_shape(seq)
+            if k:
+                rng = seq.rng if seq.rng is not None else self.rng
+                drafts, q = self.spec.draft.propose(seq.tokens, k,
+                                                    seq.params, rng)
+                scratch = self.batch_size + slot
+                self.cache.fork_slot(slot, scratch)
+                spans.append((scratch, f, m))
+                verifies.append((slot, seq, len(tokens), drafts, q))
+                tokens.append(seq.tokens[f])
+                tokens.extend(int(d) for d in drafts)
             else:
-                budget = seq.max_new_tokens - (len(seq.tokens)
-                                               - seq.prompt_len)
-                k = min(spec.k, budget - 1)
-                if k > 0:
-                    rng = seq.rng if seq.rng is not None else self.rng
-                    drafts, q = spec.draft.propose(seq.tokens, k,
-                                                   seq.params, rng)
-                    scratch = self.batch_size + slot
-                    self.cache.fork_slot(slot, scratch)
-                    span_tokens = [seq.tokens[f]] + [int(d) for d in drafts]
-                    span_specs.append((scratch, f, 1 + k))
-                    plans.append((slot, seq, "verify", row, row + 1 + k,
-                                  drafts, q))
-                else:
-                    # No draft budget left (the next token is the last):
-                    # degrade to a plain one-position step.
-                    span_tokens = [seq.tokens[f]]
-                    span_specs.append((slot, f, 1))
-                    plans.append((slot, seq, "feed", row, row + 1,
-                                  None, None))
-            tokens.extend(int(t) for t in span_tokens)
-            row += len(span_tokens)
+                spans.append((slot, f, m))
+                tokens.extend(seq.tokens[f:f + m])
+                feeds.append((slot, seq, m, len(tokens) - 1))
 
-        span = self.cache.begin_spans(span_specs)
+        plan = self.cache.begin_spans(spans)
         step_t0 = self._clock() if self._tracer.enabled else 0.0
         with self._tracer.span("engine.step", active=len(active),
-                               queued=len(self._queue), speculative=True,
-                               rows=row):
+                               queued=len(self._queue), rows=len(tokens)):
             logits = self.model.decode_step(
-                np.asarray(tokens, dtype=np.int64),
-                span.new_lens - 1, span.layers)
+                np.asarray(tokens, dtype=np.int64), plan.new_lens - 1,
+                self.cache.layers)
         self.total_steps += 1
         self._active_slot_steps += len(active)
         self._c_steps.inc()
-        now = self._clock()
         finished: list[GenerationResult] = []
 
-        # Feed spans commit first and their completing rows sample
-        # through the same grouped call the non-speculative step uses.
-        sample_rows: list[int] = []
-        sample_plans = []
-        for plan in plans:
-            slot, seq, kind, lo, hi, _, _ = plan
-            if kind != "feed":
-                continue
+        # Feed spans commit first; rows that have now seen their whole
+        # sequence (the last prompt token just went in, or the previous
+        # sample did) need a fresh token.
+        sampling = []
+        for slot, seq, m, last in feeds:
             old_fed = seq.fed
-            seq.fed += hi - lo
+            seq.fed += m
             seq.steps += 1
             self.cache.commit_span(slot, seq.fed)
             if old_fed < seq.prompt_len <= seq.fed:
-                self.cache.register_prefix(
-                    slot, seq.tokens[:seq.prompt_len])
+                # Prompt fully ingested: publish its full pages so later
+                # requests sharing the prefix skip this work (idempotent
+                # if the pages came from the cache in the first place).
+                # Only the prompt is published: a chunked feed or a
+                # preemption replay may already be past it, and decode
+                # positions are continuations, not shared context.
+                self.cache.register_prefix(slot, seq.tokens[:seq.prompt_len])
             if seq.fed == len(seq.tokens):
-                sample_rows.append(hi - 1)
-                sample_plans.append(plan)
-        if sample_rows:
-            drawn = self._sample_rows(logits, sample_rows,
-                                      [plan[1] for plan in sample_plans])
-            self._sampled_tokens += len(sample_rows)
-            self._c_sampled.inc(len(sample_rows))
-            for plan, token in zip(sample_plans, (int(t) for t in drawn)):
-                slot, seq = plan[0], plan[1]
-                reason = self._land_token(seq, token, now, step_t0)
-                if reason is not None:
-                    finished.append(self._finish_seq(seq, reason, now))
-                    self._slots[slot] = None
-                    self.cache.reset_slot(slot)
+                sampling.append((slot, seq, last))
+        drawn = self._sample_rows(logits, [row for *_, row in sampling],
+                                  [seq for _, seq, _ in sampling])
+        self._sampled_tokens += len(sampling)
+        self._c_sampled.inc(len(sampling))
+        now = self._clock()
+        for (slot, seq, _), token in zip(sampling, drawn.tolist()):
+            reason = self._land_token(seq, token, now, step_t0)
+            if reason is not None:
+                self._retire(slot, seq, reason, now, finished)
 
         # Verify spans: accept-prefix per sequence, then promote the
         # scratch branch onto the canonical slot truncated to the
         # accepted length — the rollback of rejected pages.
-        for plan in plans:
-            slot, seq, kind, lo, hi, drafts, q = plan
-            if kind != "verify":
-                continue
-            k = hi - lo - 1
+        for slot, seq, lo, drafts, q in verifies:
+            k = len(drafts)
             f = seq.fed
             rng = seq.rng if seq.rng is not None else self.rng
-            emitted, accepted = verify_draft(logits[lo:hi], drafts, q,
-                                             seq.params, rng)
+            emitted, accepted = verify_draft(logits[lo:lo + k + 1], drafts,
+                                             q, seq.params, rng)
             self.spec_proposed += k
             self.spec_accepted += accepted
             self.spec_rejected += k - accepted
@@ -925,16 +797,12 @@ class GenerationEngine:
             # that made it into the sequence (the pending token plus the
             # kept accepted drafts); everything beyond is rejected or
             # truncated by an early stop token and rolls back.
-            new_fed = f + 1 + min(accepted, kept)
-            self.cache.promote_fork(self.batch_size + slot, slot, new_fed)
-            seq.fed = new_fed
-            if f < seq.prompt_len <= new_fed:
-                self.cache.register_prefix(
-                    slot, seq.tokens[:seq.prompt_len])
+            seq.fed = f + 1 + min(accepted, kept)
+            self.cache.promote_fork(self.batch_size + slot, slot, seq.fed)
+            if f < seq.prompt_len <= seq.fed:
+                self.cache.register_prefix(slot, seq.tokens[:seq.prompt_len])
             if reason is not None:
-                finished.append(self._finish_seq(seq, reason, now))
-                self._slots[slot] = None
-                self.cache.reset_slot(slot)
+                self._retire(slot, seq, reason, now, finished)
         if self.spec_rounds:
             self._g_spec_rate.set(self.spec_accepted / self.spec_rounds)
         self._results.extend(finished)
@@ -952,21 +820,20 @@ class GenerationEngine:
         self._g_active.set(self.num_active)
         self._g_queue.set(len(self._queue))
         self._g_kv_bytes_pool.set(self.cache.nbytes)
-        if self._paged:
-            self._g_kv_bytes_in_use.set(self.cache.bytes_in_use)
-            self._g_pages_free.set(self.cache.free_pages)
-            self._g_pages_used.set(self.cache.used_pages)
-            self._g_pages_shared.set(self.cache.shared_pages)
-            prefix = self.cache.prefix
-            if prefix is not None:
-                pushed = self._prefix_pushed
-                for counter, key in ((self._c_prefix_hit, "hits"),
-                                     (self._c_prefix_miss, "misses"),
-                                     (self._c_prefix_evict, "evictions")):
-                    delta = getattr(prefix, key) - pushed[key]
-                    if delta:
-                        counter.inc(delta)
-                        pushed[key] += delta
+        self._g_kv_bytes_in_use.set(self.cache.bytes_in_use)
+        self._g_pages_free.set(self.cache.free_pages)
+        self._g_pages_used.set(self.cache.used_pages)
+        self._g_pages_shared.set(self.cache.shared_pages)
+        prefix = self.cache.prefix
+        if prefix is not None:
+            pushed = self._prefix_pushed
+            for counter, key in ((self._c_prefix_hit, "hits"),
+                                 (self._c_prefix_miss, "misses"),
+                                 (self._c_prefix_evict, "evictions")):
+                delta = getattr(prefix, key) - pushed[key]
+                if delta:
+                    counter.inc(delta)
+                    pushed[key] += delta
 
     def run(self) -> list[GenerationResult]:
         """Decode until queue and slots are empty; results in request order."""
@@ -1031,13 +898,8 @@ class GenerationEngine:
         run, the continuous-batching ideal.
         """
         slot_steps = self.total_steps * self.batch_size
-        if self._paged:
-            kv = self.cache.stats()
-            kv["preemptions"] = self.preemptions
-        else:
-            kv = {"backend": "dense",
-                  "dtype": self.cache.dtype.name,
-                  "kv_bytes_pool": self.cache.nbytes}
+        kv = self.cache.stats()
+        kv["preemptions"] = self.preemptions
         spec = None
         if self.spec is not None:
             spec = {

@@ -21,12 +21,14 @@ the last ``window`` positions, matching the banded mask of
 :func:`repro.core.attention.causal_mask`.
 
 This dense cache allocates ``slots x max_len`` positions up front whether
-or not they are ever written; its paged sibling
-:class:`repro.infer.PagedKVCache` allocates fixed-size pages on demand
-from a shared pool (and shares identical prompt prefixes between slots).
-Both backends hand out layer states with the same ``append(k, v)``
-contract, so the attention step path cannot tell them apart — and the
-engine is bit-identical on either.
+or not they are ever written.  It backs the batch-1 ``generate_fast``
+loop; the :class:`~repro.infer.GenerationEngine` runs on its paged
+sibling :class:`repro.infer.PagedKVCache`, which allocates fixed-size
+pages on demand from a shared pool (and shares identical prompt prefixes
+between slots).  Both hand out layer states with the same
+``append(k, v)`` contract, so the attention step path cannot tell them
+apart — and greedy/seeded engine output is bit-identical to
+``generate_fast``.
 """
 
 from __future__ import annotations

@@ -29,12 +29,19 @@ survey in PAPERS.md):
   at prefill.  Under memory pressure, unreferenced cached pages are
   evicted LRU back into the free list.
 
-Reads gather the referenced pages into the contiguous ``(B, H, t, hd)``
-view the attention step expects.  Gathered values are bit-for-bit the
-same floats the dense buffer would hold and ragged-length masks come
-from the shared :func:`~repro.infer.kv_cache.ragged_key_mask`, so a
-paged engine decodes **bit-identically** to the dense path whenever no
-sharing is in play — and still token-identically on cache hits, because
+One write path: a model step is a *span plan* — ``(slot, start, m)``
+triples, each putting ``m`` consecutive positions of a slot on the
+batch axis.  :meth:`PagedKVCache.begin_spans` resolves it once per step
+(fresh pages, copy-on-write, the gather page table and the ragged key
+mask) into a :class:`SpanBatch`, and every layer's
+:class:`PagedLayerKV` in ``cache.layers`` writes and gathers against
+it.  Reads gather the referenced pages into the contiguous
+``(B, H, t, hd)`` view the attention step expects.  Gathered values are
+bit-for-bit the same floats the dense buffer would hold and
+ragged-length masks come from the shared
+:func:`~repro.infer.kv_cache.ragged_key_mask`, so paged decoding is
+**bit-identical** to the dense ``generate_fast`` path whenever no
+sharing is in play — and still token-identical on cache hits, because
 shared pages hold exactly the keys/values an identical prefill would
 have produced.
 """
@@ -51,8 +58,8 @@ class PagePoolExhausted(RuntimeError):
 
     The engine avoids this by checking availability before admitting or
     stepping (queueing / preempting instead); seeing it raised means the
-    caller wrote past what :meth:`PagedKVCache.step_page_shortfall`
-    reported, or sized the pool below one maximum-length sequence.
+    caller wrote past what :meth:`PagedKVCache.span_page_need` reported,
+    or sized the pool below one maximum-length sequence.
     """
 
 
@@ -179,8 +186,16 @@ class PrefixCache:
 
 class PagedLayerKV:
     """One layer's view of the page pool; the ``state`` handed to
-    :meth:`MultiHeadSelfAttention.step` — same ``append`` contract as
-    the dense :class:`~repro.infer.kv_cache.LayerKV`."""
+    :meth:`MultiHeadSelfAttention.step`.
+
+    Every batch row is one *position* of a span in the step plan that
+    :meth:`PagedKVCache.begin_spans` installed: plain decoding is one
+    row per sequence, a speculative verify is k+1 rows of one forked
+    slot at consecutive positions.  Row ``j`` attends to earlier rows of
+    its own span because ``append`` writes every row's K/V into the pool
+    *before* gathering, and the ragged mask (``new_lens[j] = pos_j + 1``)
+    hides later positions — time laid out along the batch axis.
+    """
 
     __slots__ = ("_cache", "_layer")
 
@@ -189,89 +204,41 @@ class PagedLayerKV:
         self._layer = layer
 
     def append(self, k: np.ndarray, v: np.ndarray):
-        """Write this step's (n, H, head_dim) keys/values into the pool.
+        """Write this step's (rows, H, head_dim) keys/values into the pool.
 
-        The first layer of a step resolves each active slot's writable
-        page (allocating fresh pages at page boundaries, copying shared
-        pages on write); later layers reuse that resolution, so a block
-        stack writes one position per slot per step exactly like the
-        dense cache.  Returns ``(keys, values, mask)`` gathered over
-        every cached position the active rows may attend to.
+        Returns ``(keys, values, mask)`` gathered over every cached
+        position the rows may attend to.
         """
-        cache = self._cache
-        if not cache._prepared:
-            cache._prepare_step()
-        kb = cache._k[self._layer]
-        vb = cache._v[self._layer]
-        active = cache._active
-        lens = cache.lengths[active]
-        offsets = lens % cache.page_size
-        kb[cache._write_pages, :, offsets, :] = k
-        vb[cache._write_pages, :, offsets, :] = v
-
-        new_lens = lens + 1
-        t_max = int(new_lens.max())
-        window = cache.window
-        lo = 0 if window is None else max(0, int(new_lens.min()) - window)
-        keys = cache._gather(kb, active, lo, t_max)
-        values = cache._gather(vb, active, lo, t_max)
-        return keys, values, ragged_key_mask(new_lens, lo, t_max, window,
-                                             dtype=kb.dtype)
-
-
-class SpanLayerKV:
-    """One layer's view of a multi-position span write (speculative decode).
-
-    Same ``append(k, v) -> (keys, values, mask)`` contract as
-    :class:`PagedLayerKV`, but each batch row is one *position* of a
-    span rather than one slot: verifying k draft tokens of a sequence
-    becomes k+1 rows of the same slot at consecutive positions, all in
-    one batched forward.  Row ``j`` attends to rows ``< j`` of its own
-    span because ``append`` writes every row's K/V into the pool
-    *before* gathering, and the ragged mask (``new_lens[j] = pos_j + 1``)
-    hides later positions — time laid out along the batch axis.
-    """
-
-    __slots__ = ("_span", "_layer")
-
-    def __init__(self, span: "SpanBatch", layer: int):
-        self._span = span
-        self._layer = layer
-
-    def append(self, k: np.ndarray, v: np.ndarray):
-        """Write one position per row, then gather each row's history."""
-        span = self._span
-        cache = span.cache
-        kb = cache._k[self._layer]
-        vb = cache._v[self._layer]
-        kb[span.pages, :, span.offsets, :] = k
-        vb[span.pages, :, span.offsets, :] = v
-        keys = cache._gather(kb, span.row_slots, span.lo, span.t_max)
-        values = cache._gather(vb, span.row_slots, span.lo, span.t_max)
-        return keys, values, ragged_key_mask(span.new_lens, span.lo,
-                                             span.t_max, cache.window,
-                                             dtype=kb.dtype)
+        plan = self._cache._plan
+        if plan is None:
+            raise RuntimeError("PagedKVCache.begin_spans must install a "
+                               "step plan before a layer appends")
+        kb = self._cache._k[self._layer]
+        vb = self._cache._v[self._layer]
+        kb[plan.pages, :, plan.offsets, :] = k
+        vb[plan.pages, :, plan.offsets, :] = v
+        return plan.gather(kb), plan.gather(vb), plan.mask
 
 
 class SpanBatch:
-    """Resolved write plan for one batched multi-position model step.
+    """Resolved write-and-gather plan for one batched model step.
 
     Built by :meth:`PagedKVCache.begin_spans` from ``(slot, start, m)``
     triples: positions ``start .. start+m-1`` of each slot become ``m``
     consecutive batch rows.  Construction resolves every written page
-    once (allocating at page boundaries, copying shared pages on write
-    — at most one COW per span, the fork boundary page); the per-layer
-    :attr:`layers` states then write vectorized.  Slot lengths are NOT
-    advanced: the caller commits explicitly (``commit_span`` /
-    ``promote_fork``) after deciding how much of the span survives.
+    once (allocating at page boundaries, copying shared pages on write —
+    the cache's only copy-on-write site), the gather page table and the
+    ragged key mask; every layer's :class:`PagedLayerKV` then writes and
+    gathers vectorized.  Slot lengths are NOT advanced: the caller
+    commits explicitly (``commit_span`` / ``promote_fork``) after
+    deciding how much of each span survives.
     """
 
-    __slots__ = ("cache", "row_slots", "pages", "offsets", "new_lens",
-                 "lo", "t_max", "layers")
+    __slots__ = ("pages", "offsets", "new_lens", "mask", "_table",
+                 "_page_size", "_skip", "_width")
 
     def __init__(self, cache: "PagedKVCache", spans):
         size = cache.page_size
-        row_slots: list[int] = []
         pages: list[int] = []
         positions: list[int] = []
         for slot, start, m in spans:
@@ -288,38 +255,63 @@ class SpanBatch:
                     table.append(cache._allocate())
                 elif cache.refcounts[table[idx]] > 1:
                     # Copy-on-write before the span lands: the page is
-                    # shared with a fork parent or the prefix cache.
+                    # shared with a fork parent or the prefix cache, so
+                    # divergence gets a private copy of every layer.
                     fresh = cache._allocate()
                     cache._k[:, fresh] = cache._k[:, table[idx]]
                     cache._v[:, fresh] = cache._v[:, table[idx]]
                     cache._release(table[idx])
                     table[idx] = fresh
             for pos in range(start, end):
-                row_slots.append(slot)
                 pages.append(table[pos // size])
                 positions.append(pos)
-        self.cache = cache
-        self.row_slots = np.asarray(row_slots, dtype=np.int64)
         self.pages = np.asarray(pages, dtype=np.int64)
         pos_arr = np.asarray(positions, dtype=np.int64)
         self.offsets = pos_arr % size
         self.new_lens = pos_arr + 1
-        self.t_max = int(self.new_lens.max())
+        t_max = int(self.new_lens.max())
         window = cache.window
-        self.lo = 0 if window is None \
-            else max(0, int(self.new_lens.min()) - window)
-        self.layers = [SpanLayerKV(self, i)
-                       for i in range(len(cache.layers))]
+        lo = 0 if window is None else max(0, int(self.new_lens.min()) - window)
+        self.mask = ragged_key_mask(self.new_lens, lo, t_max, window,
+                                    dtype=cache.dtype)
+        # Gather table, one row per span repeated over its m rows.  Rows
+        # shorter than t_max read the defaulted page 0 beyond their block
+        # table — exactly the positions the mask sends to -inf, so their
+        # values never reach an attention weight (exp(-inf) == 0.0).
+        page_lo, page_hi = lo // size, -(-t_max // size)
+        table = np.zeros((len(spans), page_hi - page_lo), dtype=np.int64)
+        for row, (slot, _, _) in enumerate(spans):
+            held = cache.block_tables[slot][page_lo:page_hi]
+            table[row, :len(held)] = held
+        self._table = np.repeat(table, [m for _, _, m in spans], axis=0)
+        self._page_size = size
+        self._skip = lo - page_lo * size
+        self._width = t_max - lo
+
+    def gather(self, buf: np.ndarray) -> np.ndarray:
+        """Contiguous (rows, H, t, hd) history of one layer's pool."""
+        size = self._page_size
+        n, cols = self._table.shape
+        _, heads, _, head_dim = buf.shape
+        # One column at a time lands each (n, H, page, hd) page block
+        # directly in its target position — a single copy into the
+        # contiguous layout, instead of fancy-index + transpose/reshape
+        # (two full copies).  cols is small (t / page_size).
+        out = np.empty((n, heads, cols * size, head_dim), dtype=buf.dtype)
+        for col in range(cols):
+            out[:, :, col * size:(col + 1) * size] = buf[self._table[:, col]]
+        return out[:, :, self._skip:self._skip + self._width]
 
 
 class PagedKVCache:
     """Fixed-size-page KV pool with refcounted sharing and copy-on-write.
 
-    Drop-in engine backend next to the dense :class:`~repro.infer.KVCache`:
-    same ``layers`` / ``set_active`` / ``advance`` / ``reset_slot``
-    surface, plus the paging-specific API the engine's admission and
-    preemption logic uses (:meth:`try_admit`, :meth:`step_page_shortfall`,
-    :meth:`register_prefix`, :meth:`fork_slot`).
+    The engine's KV backend.  One model step is one span plan:
+    :meth:`begin_spans` resolves it, the per-layer views in ``layers``
+    write and gather against it, and :meth:`commit_span` /
+    :meth:`promote_fork` commit what survives.  Admission and preemption
+    use :meth:`try_admit`, :meth:`span_page_need`,
+    :meth:`register_prefix` and :meth:`fork_slot`.
 
     ``num_pages`` defaults to dense-equivalent capacity
     (``batch_size * ceil(max_seq_len / page_size)``) so a default
@@ -374,9 +366,7 @@ class PagedKVCache:
         self.prefix: PrefixCache | None = \
             PrefixCache(self) if prefix_sharing else None
         self.layers = [PagedLayerKV(self, i) for i in range(num_layers)]
-        self._write_pages = np.empty(0, dtype=np.int64)
-        self._prepared = False
-        self.set_active(np.arange(batch_size))
+        self._plan: SpanBatch | None = None
 
     @classmethod
     def for_model(cls, model, batch_size: int,
@@ -491,80 +481,25 @@ class PagedKVCache:
             raise AssertionError(f"page {page} refcount went negative")
 
     # ------------------------------------------------------------------
-    # Step protocol (same surface as the dense KVCache)
+    # Step protocol: begin_spans -> decode_step -> commit
     # ------------------------------------------------------------------
-    def set_active(self, slots: np.ndarray) -> None:
-        """Select which slots the next append/advance operates on."""
-        self._active = np.asarray(slots, dtype=np.int64)
-        self._prepared = False
+    def begin_spans(self, spans) -> SpanBatch:
+        """Install one model step's plan: ``spans`` is a list of
+        ``(slot, start, m)`` triples, each contributing ``m`` batch rows
+        at consecutive positions.  ``layers`` write and gather against
+        it; the returned :class:`SpanBatch` gives the rows' positions
+        (``new_lens - 1``).  Commit survivors with :meth:`commit_span` /
+        :meth:`promote_fork` afterwards."""
+        self._plan = SpanBatch(self, spans)
+        return self._plan
 
-    def _writable_page(self, slot: int) -> int:
-        """Resolve (allocating or copy-on-writing) this slot's write page."""
-        pos = int(self.lengths[slot])
-        if pos >= self.max_seq_len:
+    def commit_span(self, slot: int, length: int) -> None:
+        """Set a slot's valid length after a span write landed on it."""
+        if length > self.max_seq_len:
             raise ValueError(
                 f"PagedKVCache overflow: sequence exceeds {self.max_seq_len}")
-        idx = pos // self.page_size
-        table = self.block_tables[slot]
-        if idx == len(table):
-            table.append(self._allocate())
-        elif self.refcounts[table[idx]] > 1:
-            # Copy-on-write: the page is shared (a fork sibling or the
-            # prefix cache also holds it); divergence gets a private copy
-            # of every layer's rows before the write lands.
-            fresh = self._allocate()
-            self._k[:, fresh] = self._k[:, table[idx]]
-            self._v[:, fresh] = self._v[:, table[idx]]
-            self._release(table[idx])
-            table[idx] = fresh
-        return table[idx]
-
-    def _prepare_step(self) -> None:
-        """Resolve every active slot's write page once per model step."""
-        pages = np.empty(self._active.size, dtype=np.int64)
-        for row, slot in enumerate(self._active):
-            pages[row] = self._writable_page(int(slot))
-        self._write_pages = pages
-        self._prepared = True
-
-    def _gather(self, buf: np.ndarray, active: np.ndarray, lo: int,
-                t_max: int) -> np.ndarray:
-        """Contiguous (n, H, t_max - lo, hd) view over scattered pages.
-
-        Rows shorter than ``t_max`` gather whatever the defaulted page 0
-        holds beyond their block table — those positions are exactly the
-        ones :func:`ragged_key_mask` sends to ``-inf``, so their values
-        never reach an attention weight (``exp(-inf) == 0.0``).
-        """
-        size = self.page_size
-        page_lo = lo // size
-        page_hi = -(-t_max // size)
-        cols = page_hi - page_lo
-        table = np.zeros((active.size, cols), dtype=np.int64)
-        for row, slot in enumerate(active):
-            bt = self.block_tables[int(slot)]
-            have = min(len(bt), page_hi) - page_lo
-            if have > 0:
-                table[row, :have] = bt[page_lo:page_hi]
-        n = active.size
-        _, heads, _, head_dim = buf.shape
-        # One column at a time lands each (n, H, page, hd) page block
-        # directly in its target position — a single copy into the
-        # contiguous layout, instead of fancy-index + transpose/reshape
-        # (two full copies).  cols is small (t / page_size).
-        out = np.empty((n, heads, cols * size, head_dim), dtype=buf.dtype)
-        for col in range(cols):
-            out[:, :, col * size:(col + 1) * size] = buf[table[:, col]]
-        return out[:, :, lo - page_lo * size: t_max - page_lo * size]
-
-    def advance(self) -> None:
-        """Commit one decode step: every active slot grew by one position."""
-        if self._active.size and \
-                int(self.lengths[self._active].max()) >= self.max_seq_len:
-            raise ValueError(
-                f"PagedKVCache overflow: sequence exceeds {self.max_seq_len}")
-        self.lengths[self._active] += 1
-        self._prepared = False
+        self.lengths[slot] = length
+        self._plan = None
 
     def reset_slot(self, slot: int) -> None:
         """Release the slot's pages back to the pool (or to the prefix
@@ -573,17 +508,11 @@ class PagedKVCache:
             self._release(page)
         self.block_tables[slot] = []
         self.lengths[slot] = 0
-        self._prepared = False
+        self._plan = None
 
     # ------------------------------------------------------------------
     # Paging-specific API (admission, sharing, forking)
     # ------------------------------------------------------------------
-    def pages_to_admit(self, tokens) -> int:
-        """Fresh pages an admission would need after prefix reuse."""
-        shared = len(self.prefix.match(tokens, record=False)) \
-            if self.prefix else 0
-        return self.pages_for(len(tokens)) - shared
-
     def try_admit(self, slot: int, tokens) -> int | None:
         """Attach prefix-cached pages and reserve the slot for ``tokens``.
 
@@ -616,44 +545,26 @@ class PagedKVCache:
         self.lengths[slot] = len(pages) * self.page_size
         return len(pages) * self.page_size
 
-    def step_page_shortfall(self, active) -> int:
-        """Pages the next step needs beyond what the pool can supply.
-
-        Positive means stepping would exhaust the pool: some active slot
-        sits at a page boundary (needs a fresh page) or must copy-on-
-        write a shared page, and free + evictable cannot cover them all.
-        The engine preempts until this is no longer positive.
+    def span_page_need(self, slot: int, start: int, m: int,
+                       fork: bool = False) -> int:
+        """Pages a span of ``m`` positions from ``start`` on ``slot``
+        takes from the pool: one per page index it writes past the block
+        table, plus one copy-on-write per shared page it writes into.
+        ``fork=True`` sizes the span for a fork of ``slot`` (the engine's
+        speculative verify), where every already-held page the span
+        touches — the fork boundary page — is shared by construction.
+        The engine preempts until a step's spans fit the pool.
         """
-        needed = 0
-        for slot in active:
-            pos = int(self.lengths[slot])
-            idx = pos // self.page_size
-            table = self.block_tables[int(slot)]
-            if idx == len(table) or self.refcounts[table[idx]] > 1:
-                needed += 1
-        return needed - self.available_pages
+        size = self.page_size
+        table = self.block_tables[slot]
+        return sum(idx >= len(table) or fork or self.refcounts[table[idx]] > 1
+                   for idx in range(start // size, (start + m - 1) // size + 1))
 
     def register_prefix(self, slot: int, tokens) -> int:
         """Publish the slot's full prompt pages into the prefix cache."""
         if self.prefix is None:
             return 0
         return self.prefix.insert(tokens, self.block_tables[slot])
-
-    def begin_spans(self, spans) -> SpanBatch:
-        """Resolve a multi-position write: ``spans`` is a list of
-        ``(slot, start, m)`` triples, each contributing ``m`` batch rows
-        at consecutive positions.  Returns the :class:`SpanBatch` whose
-        ``layers`` drive one ``decode_step``; commit survivors with
-        :meth:`commit_span` / :meth:`promote_fork` afterwards."""
-        return SpanBatch(self, spans)
-
-    def commit_span(self, slot: int, length: int) -> None:
-        """Set a slot's valid length after a span write landed on it."""
-        if length > self.max_seq_len:
-            raise ValueError(
-                f"PagedKVCache overflow: sequence exceeds {self.max_seq_len}")
-        self.lengths[slot] = length
-        self._prepared = False
 
     def promote_fork(self, src: int, dst: int, length: int) -> None:
         """Adopt ``src``'s pages as ``dst``'s state, truncated to ``length``.
@@ -681,7 +592,7 @@ class PagedKVCache:
             self._release(page)
         self.block_tables[dst] = kept
         self.lengths[dst] = length
-        self._prepared = False
+        self._plan = None
 
     def fork_slot(self, src: int, dst: int) -> None:
         """Clone ``src`` into ``dst`` by sharing every page (O(1) copies).

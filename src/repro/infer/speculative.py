@@ -33,9 +33,9 @@ degenerates to "accept while the draft matches argmax, else emit
 argmax": bit-identical to non-speculative greedy decoding, no RNG
 consumed.
 
-The engine runs the verify forward as a *span batch* over the paged
-KV cache (:class:`~repro.infer.paged_kv.SpanBatch`): the k+1 positions
-of one sequence become k+1 batch rows writing into a
+The engine runs the verify as one span of its step plan over the
+paged KV cache (:class:`~repro.infer.paged_kv.SpanBatch`): the k+1
+positions of one sequence become k+1 batch rows writing into a
 :meth:`~repro.infer.PagedKVCache.fork_slot` of the sequence's slot,
 and :meth:`~repro.infer.PagedKVCache.promote_fork` commits the
 accepted prefix while releasing the rejected pages — rollback is page

@@ -30,10 +30,11 @@ blackbox, trace-context plumbing — is documented in
 
 Quick start::
 
-    from repro.infer import GenerationEngine
+    from repro.infer import GenerationEngine, SamplingParams
     from repro.serve import AdmissionPolicy, InferenceServer, ServeClient
 
-    engine = GenerationEngine(model, batch_size=8, greedy=True)
+    engine = GenerationEngine(model, batch_size=8,
+                              params=SamplingParams(greedy=True))
     policy = AdmissionPolicy(max_queue_depth=32, request_timeout_s=30.0)
     with InferenceServer(engine, policy=policy) as server:
         client = ServeClient(server.host, server.port)

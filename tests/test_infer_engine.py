@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro.core import TransformerConfig, TransformerLM
-from repro.infer import GenerationEngine, SamplingParams
+from repro.infer import GenerationEngine, SamplingParams, SpeculativeConfig
+from repro.lm import LanguageModelDraft, NGramLM
 from repro.obs import Observability
 
 SAMPLING_CONFIGS = [
@@ -160,6 +161,52 @@ class TestContinuousBatching:
                 params=SamplingParams(temperature=1.2, top_p=0.9))
             runs.append(engine.generate([[1], [2], [3], [4], [5]], 10))
         assert runs[0] == runs[1]
+
+
+class TestOneDecodeLoop:
+    @pytest.mark.parametrize("speculative", [False, True],
+                             ids=["plain", "speculative"])
+    def test_decode_step_reads_cache_layers(self, speculative):
+        """Both modes hand ``decode_step`` the cache's own ``layers``
+        list, so a layer wrapped in place sees every KV write — verify
+        spans (several rows of one sequence) included."""
+        model = tiny_model()
+        prompts = [[1, 2, 3], [4, 5], [6, 7, 8, 9]]
+        refs = [model.generate_fast(p, 10, greedy=True) for p in prompts]
+        kwargs = {}
+        if speculative:
+            ngram = NGramLM(vocab_size=11, order=3, add_k=0.01)
+            for ref in refs:
+                ngram.fit(np.asarray(ref))
+            kwargs["speculative"] = SpeculativeConfig(
+                draft=LanguageModelDraft(ngram), k=3)
+        engine = GenerationEngine(model, batch_size=2,
+                                  params=SamplingParams(greedy=True),
+                                  **kwargs)
+        rows = []
+
+        class CountingLayer:
+            def __init__(self, layer):
+                self.layer = layer
+
+            def append(self, k, v):
+                rows.append(k.shape[0])
+                return self.layer.append(k, v)
+
+        layers = engine.cache.layers
+        layers[:] = [CountingLayer(layer) for layer in layers]
+        passed = []
+        decode_step = model.decode_step
+
+        def spy(tokens, positions, states):
+            passed.append(states is layers)
+            return decode_step(tokens, positions, states)
+
+        model.decode_step = spy
+        assert engine.generate(prompts, 10) == refs
+        assert passed and all(passed)
+        assert len(rows) == len(passed) * model.config.num_layers
+        assert (max(rows) > engine.batch_size) == speculative
 
 
 class TestEngineValidation:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import TransformerConfig, TransformerLM
 from repro.core.attention import MultiHeadSelfAttention
-from repro.infer import KVCache
+from repro.infer import KVCache, PagedKVCache
 
 
 def _rand_kv(rng, n, heads, hd):
@@ -111,22 +111,29 @@ class TestKVCache:
                     max_seq_len=4, head_dim=2, window=0)
 
 
-class TestDictStateWindowTrim:
-    """Regression: with ``window`` set, the dict KV state must not grow
-    without bound (it used to keep the full history and slice a view)."""
+class TestPagedWindowedStep:
+    """With ``window`` set, the attention step on the paged cache reads
+    a bounded history and still agrees with the banded-mask forward."""
 
-    def test_state_stays_within_window(self):
+    @staticmethod
+    def cache(window, max_seq_len):
+        return PagedKVCache(num_layers=1, batch_size=1, num_heads=2,
+                            max_seq_len=max_seq_len, head_dim=4,
+                            page_size=4, window=window)
+
+    def test_reads_stay_within_window(self):
         rng = np.random.default_rng(0)
-        attn = MultiHeadSelfAttention(d_model=8, num_heads=2, rng=rng, window=4)
-        state = {}
+        cache = self.cache(window=4, max_seq_len=20)
         for t in range(20):
-            attn.step(rng.normal(size=(1, 1, 8)), state)
-            assert state["k"].shape[2] <= 4
-            assert state["v"].shape[2] <= 4
+            cache.begin_spans([(0, t, 1)])
+            keys, values, mask = cache.layers[0].append(*_rand_kv(rng, 1, 2, 4))
+            cache.commit_span(0, t + 1)
+            assert mask is None
+            assert keys.shape[2] == values.shape[2] == min(t + 1, 4)
 
-    def test_trimmed_state_matches_full_forward(self):
-        """Trimming must not change outputs: the step path with a trimmed
-        dict state agrees with the banded-mask forward pass."""
+    def test_windowed_step_matches_full_forward(self):
+        """The step path over the paged cache agrees with the
+        banded-mask forward pass at every position."""
         from repro.autograd import Tensor, no_grad
 
         rng = np.random.default_rng(1)
@@ -136,7 +143,26 @@ class TestDictStateWindowTrim:
         x = rng.normal(size=(1, 10, 8))
         with no_grad():
             full = attn.forward(Tensor(x)).data
-        state = {}
+        cache = self.cache(window=3, max_seq_len=10)
         for t in range(10):
-            stepped = attn.step(x[:, t : t + 1, :], state)
+            cache.begin_spans([(0, t, 1)])
+            stepped = attn.step(x[:, t : t + 1, :], cache.layers[0])
+            cache.commit_span(0, t + 1)
             assert np.allclose(stepped[0, 0], full[0, t], atol=1e-12)
+
+    def test_one_span_matches_full_forward(self):
+        """All ten positions as one span — time along the batch axis,
+        the layout of a speculative verify — match the forward too."""
+        from repro.autograd import Tensor, no_grad
+
+        rng = np.random.default_rng(1)
+        attn = MultiHeadSelfAttention(d_model=8, num_heads=2,
+                                      rng=np.random.default_rng(2), window=3)
+        attn.eval()
+        x = rng.normal(size=(1, 10, 8))
+        with no_grad():
+            full = attn.forward(Tensor(x)).data
+        cache = self.cache(window=3, max_seq_len=10)
+        cache.begin_spans([(0, 0, 10)])
+        stepped = attn.step(x[0][:, None, :], cache.layers[0])
+        assert np.allclose(stepped[:, 0], full[0], atol=1e-12)

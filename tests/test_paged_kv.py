@@ -1,13 +1,15 @@
 """Paged KV cache suite: allocator, sharing, and engine equivalence.
 
 Three layers, bottom up.  Pool mechanics: free-list accounting,
-refcounts, copy-on-write forks, and exhaustion in the raw
+refcounts, copy-on-write forks, span plans and exhaustion in the raw
 :class:`~repro.infer.PagedKVCache`.  Prefix cache: chained keying, LRU
-eviction, idempotent registration.  Engine integration: the paged
-default is **bit-identical to the dense backend** on non-shared seeded
-workloads (the tentpole guarantee), prefix hits skip prefill without
-changing trajectories, pool exhaustion mid-decode preempts-and-queues
-instead of crashing, and cancel/finish reclaim pages.
+eviction, idempotent registration.  Engine integration: greedy and
+per-request-seeded engine batches are **bit-identical to per-prompt
+``generate_fast``** on the dense :class:`~repro.infer.KVCache`, prefix
+hits skip prefill without changing trajectories, pool exhaustion
+mid-decode preempts-and-queues instead of crashing, and cancel/finish
+reclaim pages.  Unseeded shared-RNG batches are pinned by the golden
+trajectories in tests/test_engine_golden.py.
 """
 
 import numpy as np
@@ -40,11 +42,18 @@ def make_cache(**kwargs):
 def decode_one(cache, slot, rng, steps=1):
     """Drive ``steps`` single-slot appends through every layer."""
     for _ in range(steps):
-        cache.set_active(np.array([slot]))
+        pos = int(cache.lengths[slot])
+        cache.begin_spans([(slot, pos, 1)])
         for layer in cache.layers:
             layer.append(rng.standard_normal((1, 2, 8)),
                          rng.standard_normal((1, 2, 8)))
-        cache.advance()
+        cache.commit_span(slot, pos + 1)
+
+
+def history(cache, slot, n, layer=0):
+    """A slot's first ``n`` cached keys, (H, n, hd), read off its pages."""
+    pages = [cache._k[layer, page] for page in cache.block_tables[slot]]
+    return np.concatenate(pages, axis=1)[:, :n]
 
 
 class TestPagePool:
@@ -89,20 +98,20 @@ class TestPagePool:
                         max_seq_len=32, head_dim=8)
         steps = [5, 3, 5]   # ragged lengths across three slots
         for slot, n in enumerate(steps):
-            for _ in range(n):
+            for pos in range(n):
                 k = rng.standard_normal((1, 2, 8))
                 v = rng.standard_normal((1, 2, 8))
-                for cache in (paged, dense):
-                    cache.set_active(np.array([slot]))
+                paged.begin_spans([(slot, pos, 1)])
+                dense.set_active(np.array([slot]))
                 ret_p = [layer.append(k, v) for layer in paged.layers]
                 ret_d = [layer.append(k, v) for layer in dense.layers]
-                paged.advance()
+                paged.commit_span(slot, pos + 1)
                 dense.advance()
         for (kp, vp, mp), (kd, vd, md) in zip(ret_p, ret_d):
             assert np.array_equal(kp, kd) and np.array_equal(vp, vd)
         # mixed-length batch: identical gathered values and masks
-        for cache in (paged, dense):
-            cache.set_active(np.arange(3))
+        paged.begin_spans([(slot, n, 1) for slot, n in enumerate(steps)])
+        dense.set_active(np.arange(3))
         k = rng.standard_normal((3, 2, 8))
         v = rng.standard_normal((3, 2, 8))
         for lp, ld in zip(paged.layers, dense.layers):
@@ -131,13 +140,11 @@ class TestCopyOnWrite:
         rng = np.random.default_rng(0)
         decode_one(cache, 0, rng, steps=6)
         cache.fork_slot(0, 1)
-        before = cache._gather(cache._k[0], np.array([0]), 0, 6).copy()
+        before = history(cache, 0, 6).copy()
         decode_one(cache, 1, rng, steps=1)       # writes shared page 1
-        after = cache._gather(cache._k[0], np.array([0]), 0, 6)
-        np.testing.assert_array_equal(before, after)
+        np.testing.assert_array_equal(history(cache, 0, 6), before)
         # the fork's first 6 positions still equal the parent's
-        forked = cache._gather(cache._k[0], np.array([1]), 0, 6)
-        np.testing.assert_array_equal(forked, before)
+        np.testing.assert_array_equal(history(cache, 1, 6), before)
         # and the tables have genuinely diverged on the written page
         assert cache.block_tables[0][1] != cache.block_tables[1][1]
         assert cache.block_tables[0][0] == cache.block_tables[1][0]
@@ -146,6 +153,31 @@ class TestCopyOnWrite:
         cache = make_cache(prefix_sharing=False)
         with pytest.raises(ValueError):
             cache.fork_slot(0, 0)
+
+    @pytest.mark.parametrize("length,m,fork,need", [
+        (6, 1, False, 0),    # writes into its own page 1
+        (6, 3, False, 1),    # crosses into a fresh page 2
+        (6, 1, True, 1),     # copy-on-write of the shared boundary page
+        (6, 3, True, 2),     # boundary COW plus a fresh page
+        (8, 5, True, 2),     # page-aligned fork: no boundary page to copy
+    ])
+    def test_span_page_need_is_exact_per_span(self, length, m, fork, need):
+        """The need a span reports is exactly what resolving it takes."""
+        cache = make_cache(prefix_sharing=False)
+        decode_one(cache, 0, np.random.default_rng(0), steps=length)
+        assert cache.span_page_need(0, length, m, fork=fork) == need
+        slot = 0
+        if fork:
+            cache.fork_slot(0, 1)
+            slot = 1
+        used = cache.used_pages
+        cache.begin_spans([(slot, length, m)])
+        assert cache.used_pages - used == need
+
+    def test_append_without_plan_raises(self):
+        cache = make_cache()
+        with pytest.raises(RuntimeError, match="begin_spans"):
+            cache.layers[0].append(np.zeros((1, 2, 8)), np.zeros((1, 2, 8)))
 
 
 class TestPrefixCache:
@@ -211,35 +243,59 @@ class TestPrefixCache:
             cache.prefix.evict_one()
 
 
+def solo_reference(model, prompt, max_new, params):
+    """Per-prompt ``generate_fast`` on the dense cache: the oracle a
+    greedy or per-request-seeded engine request must reproduce."""
+    rng = None if params.seed is None else np.random.default_rng(params.seed)
+    return model.generate_fast(prompt, max_new, rng=rng,
+                               temperature=params.temperature,
+                               top_k=params.top_k, top_p=params.top_p,
+                               greedy=params.greedy,
+                               stop_token=params.stop_token)
+
+
+def engine_vs_solo(model, prompts, max_new, params, batch_size):
+    """Engine tokens and per-prompt references, both in prompt order."""
+    engine = GenerationEngine(model, batch_size=batch_size,
+                              rng=np.random.default_rng(11))
+    ids = [engine.submit(prompt, max_new, params=p)
+           for prompt, p in zip(prompts, params)]
+    results = {r.request_id: r.tokens for r in engine.run()}
+    return ([results[i] for i in ids],
+            [solo_reference(model, prompt, max_new, p)
+             for prompt, p in zip(prompts, params)])
+
+
 class TestEngineEquivalence:
     SAMPLING = [{"greedy": True}, {"temperature": 1.2, "top_k": 5},
                 {"temperature": 0.8, "top_p": 0.9}]
 
     @pytest.mark.parametrize("sampling", SAMPLING,
                              ids=["greedy", "topk", "topp"])
-    def test_paged_bit_identical_to_dense_multi_slot(self, model, sampling):
-        """The tentpole guarantee: same seed, same trajectories, both
-        backends, with ragged multi-slot batches and queueing."""
+    def test_paged_bit_identical_to_dense_multi_slot(self, sampling):
+        """The tentpole guarantee: a ragged multi-slot batch with
+        queueing decodes, request for request, exactly what per-prompt
+        ``generate_fast`` does on the dense cache — greedy, or
+        stochastic with a per-request seed — in both compute dtypes."""
         prompts = [[1, 2, 3], [4, 5], [6, 7, 8, 9, 1, 2, 3, 4], [2],
                    [3, 1, 4, 1, 5], [9, 8, 7]]
-        dense = GenerationEngine(model, batch_size=3, paged=False,
-                                 rng=np.random.default_rng(11),
-                                 params=SamplingParams(**sampling))
-        paged = GenerationEngine(model, batch_size=3, paged=True,
-                                 rng=np.random.default_rng(11),
-                                 params=SamplingParams(**sampling))
-        assert dense.generate(prompts, 14) == paged.generate(prompts, 14)
+        seeded = "greedy" not in sampling
+        params = [SamplingParams(**sampling, seed=40 + i if seeded else None)
+                  for i in range(len(prompts))]
+        for dtype in (None, "float32"):
+            got, want = engine_vs_solo(tiny_model(dtype=dtype), prompts, 14,
+                                       params, batch_size=3)
+            assert got == want, dtype
 
     def test_paged_bit_identical_with_attention_window(self):
-        model = tiny_model(attention_window=6)
         prompts = [[1, 2, 3, 4, 5], [6, 7], [8, 9, 1]]
-        dense = GenerationEngine(model, batch_size=2, paged=False,
-                                 rng=np.random.default_rng(3),
-                                 params=SamplingParams(temperature=1.1))
-        paged = GenerationEngine(model, batch_size=2, paged=True,
-                                 rng=np.random.default_rng(3),
-                                 params=SamplingParams(temperature=1.1))
-        assert dense.generate(prompts, 12) == paged.generate(prompts, 12)
+        params = [SamplingParams(temperature=1.1, seed=3 + i)
+                  for i in range(len(prompts))]
+        for dtype in (None, "float32"):
+            model = tiny_model(attention_window=6, dtype=dtype)
+            got, want = engine_vs_solo(model, prompts, 12, params,
+                                       batch_size=2)
+            assert got == want, dtype
 
     def test_prefix_hits_skip_prefill_same_tokens(self, model):
         """Requests sharing a system prompt hit the cache, run fewer
@@ -332,15 +388,12 @@ class TestEnginePagePressure:
 
 
 class TestStatsAndMetrics:
-    def test_stats_kv_section_paged_and_dense(self, model):
-        paged = GenerationEngine(model, batch_size=2).stats()["kv"]
-        assert paged["backend"] == "paged"
+    def test_stats_kv_section(self, model):
+        kv = GenerationEngine(model, batch_size=2).stats()["kv"]
+        assert kv["backend"] == "paged"
         assert {"page_size", "num_pages", "pages_free", "pages_used",
-                "pages_shared", "kv_bytes_pool",
-                "prefix_cache"} <= paged.keys()
-        dense = GenerationEngine(model, batch_size=2,
-                                 paged=False).stats()["kv"]
-        assert dense["backend"] == "dense"
+                "pages_shared", "kv_bytes_pool", "preemptions",
+                "prefix_cache"} <= kv.keys()
 
     def test_page_gauges_and_prefix_counters_exported(self, model):
         from repro.obs import Observability

@@ -7,16 +7,14 @@ object.  The contracts tested here:
 - construction validates fields and raises the structured
   :class:`~repro.infer.SamplingParamsError` the serving layer turns
   into an HTTP 400;
-- an engine defaulted via ``params=`` decodes bit-identically to the
-  old engine-wide arguments (which now warn but keep working);
+- the engine default is ``params=``; the old engine-wide sampling
+  arguments raise ``TypeError``;
 - a batch mixing different per-request params gives each request the
   same tokens it would get decoding alone — per-request ``seed`` makes
   that reproducible regardless of batch composition;
 - ``submit(..., params=...)`` overrides the engine default and the
   resolved params ride on the result.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -87,42 +85,21 @@ class TestValidation:
 
 
 class TestEngineDefaultEquivalence:
-    @pytest.mark.parametrize("sampling", [
-        {"greedy": True},
-        {"temperature": 1.2, "top_k": 7},
-        {"temperature": 0.8, "top_p": 0.9},
-    ], ids=["greedy", "topk", "topp"])
-    def test_params_default_matches_legacy_arguments(self, sampling):
-        model = tiny_model()
-        with pytest.warns(DeprecationWarning):
-            legacy = GenerationEngine(model, batch_size=2,
-                                      rng=np.random.default_rng(5),
-                                      **sampling)
-        modern = GenerationEngine(model, batch_size=2,
-                                  rng=np.random.default_rng(5),
-                                  params=SamplingParams(**sampling))
-        prompts = [[1, 2, 3], [4, 5], [6, 7, 8, 9]]
-        assert legacy.generate(prompts, 10) == modern.generate(prompts, 10)
+    """The engine default is ``params=``; the engine-wide sampling
+    arguments it replaced are gone, not silently ignored."""
 
-    def test_legacy_arguments_warn(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            GenerationEngine(tiny_model(), batch_size=1, temperature=0.9)
+    @pytest.mark.parametrize("legacy", [
+        {"temperature": 0.9}, {"top_k": 4}, {"top_p": 0.9},
+        {"greedy": True}, {"stop_token": 2},
+    ], ids=["temperature", "top_k", "top_p", "greedy", "stop_token"])
+    def test_legacy_arguments_rejected(self, legacy):
+        with pytest.raises(TypeError, match=next(iter(legacy))):
+            GenerationEngine(tiny_model(), batch_size=1, **legacy)
 
     def test_legacy_and_params_together_rejected(self):
-        with pytest.raises(ValueError, match="not both"), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
+        with pytest.raises(TypeError, match="greedy"):
             GenerationEngine(tiny_model(), batch_size=1, greedy=True,
                              params=SamplingParams(greedy=True))
-
-    def test_compat_properties_reflect_default(self):
-        engine = GenerationEngine(
-            tiny_model(), batch_size=1,
-            params=SamplingParams(temperature=0.7, top_k=4, stop_token=2))
-        assert engine.temperature == 0.7
-        assert engine.top_k == 4
-        assert engine.stop_token == 2
-        assert engine.greedy is False
 
 
 class TestPerRequestParams:

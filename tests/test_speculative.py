@@ -140,12 +140,6 @@ class TestConfigAndProtocol:
         assert isinstance(draft, DraftModel)
         assert isinstance(ConstantDraft(0, 11), DraftModel)
 
-    def test_speculative_requires_paged_backend(self):
-        with pytest.raises(ValueError, match="paged"):
-            GenerationEngine(tiny_model(), batch_size=1, paged=False,
-                             speculative=SpeculativeConfig(
-                                 draft=ConstantDraft(0, 11)))
-
     def test_adapter_propose_contract(self):
         ngram = NGramLM(vocab_size=11, order=3, add_k=1.0)
         ngram.fit(np.array([1, 2, 3, 1, 2, 3, 1, 2, 3], dtype=np.int64))
@@ -280,6 +274,33 @@ class TestStochasticSpeculative:
         mine = crowded.submit([1, 2], 10, params=seeded)
         results = {r.request_id: r for r in crowded.run()}
         assert results[mine].tokens == solo.tokens
+
+
+    def test_seeded_trajectory_survives_preemption(self):
+        """A seeded request preempted mid-decode replays up to its rest
+        point and resumes with the verify round it would have run, so
+        its tokens match an unpressured solo run draw for draw."""
+        model = tiny_model()
+        prompts = [[1, 2, 3, 4], [5, 6, 7], [8, 9]]
+        draft, _ = distilled_draft(model, prompts, 16)
+        spec = SpeculativeConfig(draft=draft, k=4)
+        params = [SamplingParams(temperature=1.1, top_k=6, seed=60 + i)
+                  for i in range(len(prompts))]
+        solo = []
+        for prompt, p in zip(prompts, params):
+            engine = GenerationEngine(model, batch_size=1, speculative=spec,
+                                      prefix_cache=False)
+            engine.submit(prompt, 16, params=p)
+            solo.append(engine.run()[0].tokens)
+        crowded = GenerationEngine(model, batch_size=3, speculative=spec,
+                                   rng=np.random.default_rng(0),
+                                   kv_page_size=4, kv_num_pages=10,
+                                   prefix_cache=False)
+        ids = [crowded.submit(prompt, 16, params=p)
+               for prompt, p in zip(prompts, params)]
+        results = {r.request_id: r.tokens for r in crowded.run()}
+        assert crowded.preemptions >= 1
+        assert [results[i] for i in ids] == solo
 
 
 class TestCountersAndStats:
