@@ -21,8 +21,8 @@ per-prompt ``generate_fast`` on the dense cache, and reports held KV
 bytes per concurrent request against a dense ``batch x max_seq_len``
 buffer (the paged pool only pays for pages actually written); ``prefix`` decodes requests
 sharing a 48-token system prompt and reports cold-vs-warm TTFT and
-prefill steps — warm requests reuse the cached prompt pages and skip
-the covered positions.
+prefill rows (positions forwarded before the first token) — warm
+requests reuse the cached prompt pages and skip the covered positions.
 
 A PR 9 ``speculative`` phase decodes a highly-predictable greedy copy
 workload twice — plain engine vs the same engine with an order-4
@@ -126,9 +126,11 @@ def _prefix_phase(model) -> dict:
 
     One cold request pays the full prompt; each warm request reuses the
     cached system-prompt pages and prefills only its unique suffix.
-    Decode *steps* per request are reported alongside wall-clock TTFT —
-    steps are deterministic, so the speedup gate cannot flake on a busy
-    machine.
+    Prefill *rows* per request (positions forwarded through
+    ``decode_step`` before the first token; every prompt is one span,
+    so cold and warm both take one step) are reported alongside
+    wall-clock TTFT — rows are deterministic, so the speedup gate
+    cannot flake on a busy machine.
     """
     rng = np.random.default_rng(2)
     system = list(rng.integers(0, model.config.vocab_size, size=48))
@@ -136,28 +138,29 @@ def _prefix_phase(model) -> dict:
                 for _ in range(6)]
     max_new = 8
     engine = GenerationEngine(model, batch_size=1, params=_GREEDY)
-    ttfts, steps = [], []
+    ttfts, rows = [], []
     for suffix in suffixes:
-        before = engine.total_steps
+        before = engine.stats()["rows_forwarded"]
         engine.submit(system + suffix, max_new)
         result = engine.run()[0]
-        steps.append(engine.total_steps - before)
+        decode_rows = len(result.completion) - 1
+        rows.append(engine.stats()["rows_forwarded"] - before - decode_rows)
         ttfts.append(result.timing.ttft_s)
         assert result.tokens == model.generate_fast(
             system + suffix, max_new, greedy=True), \
             "prefix-cache hit changed the sampled tokens"
     stats = engine.stats()["kv"]["prefix_cache"]
     warm_ttft = float(np.mean(ttfts[1:]))
-    warm_steps = float(np.mean(steps[1:]))
+    warm_rows = float(np.mean(rows[1:]))
     return {
         "system_prompt_len": len(system),
         "num_requests": len(suffixes),
         "cold_ttft_s": ttfts[0],
         "warm_ttft_mean_s": warm_ttft,
         "ttft_speedup": ttfts[0] / warm_ttft if warm_ttft > 0 else 0.0,
-        "cold_prefill_steps": steps[0],
-        "warm_prefill_steps_mean": warm_steps,
-        "step_speedup": steps[0] / warm_steps if warm_steps else 0.0,
+        "cold_prefill_rows": rows[0],
+        "warm_prefill_rows_mean": warm_rows,
+        "row_speedup": rows[0] / warm_rows if warm_rows else 0.0,
         "prefix_hits": stats["hits"],
         "prefix_hit_rate": stats["hits"] / len(suffixes),
         "hit_tokens": stats["hit_tokens"],
@@ -352,16 +355,16 @@ def report(result: dict) -> str:
     prefix = result["prefix"]
     lines.append(banner("Prefix cache — shared system prompt TTFT"))
     lines.append(fmt_table(
-        ["request", "prefill steps", "ttft ms"],
-        [["cold (1st)", prefix["cold_prefill_steps"],
+        ["request", "prefill rows", "ttft ms"],
+        [["cold (1st)", prefix["cold_prefill_rows"],
           prefix["cold_ttft_s"] * 1e3],
-         ["warm (mean)", prefix["warm_prefill_steps_mean"],
+         ["warm (mean)", prefix["warm_prefill_rows_mean"],
           prefix["warm_ttft_mean_s"] * 1e3]]))
     lines.append(
         f"{prefix['prefix_hits']}/{prefix['num_requests']} requests hit the "
         f"cache ({prefix['hit_tokens']} tokens reused); "
         f"TTFT speedup {prefix['ttft_speedup']:.1f}x, "
-        f"step speedup {prefix['step_speedup']:.1f}x")
+        f"prefill row speedup {prefix['row_speedup']:.1f}x")
     spec = result["speculative"]
     lines.append(banner("Speculative decoding — n-gram draft, k="
                         + str(spec["k"])))
@@ -407,12 +410,12 @@ def test_inference_throughput(benchmark):
     tps = [entry["tokens_per_sec"] for entry in result["batched"]]
     assert tps[-1] > tps[0]
     # PR 8 acceptance: >=2x lower KV memory per concurrent short request,
-    # and prefix hits must cut prefill steps (deterministic, never flaky)
+    # and prefix hits must cut prefill rows (deterministic, never flaky)
     assert result["memory"]["memory_saving_ratio"] >= 2.0
     assert result["memory"]["bit_identical_to_dense"]
     prefix = result["prefix"]
     assert prefix["prefix_hits"] == prefix["num_requests"] - 1
-    assert prefix["warm_prefill_steps_mean"] < prefix["cold_prefill_steps"] / 3
+    assert prefix["warm_prefill_rows_mean"] < prefix["cold_prefill_rows"] / 3
     # PR 9 acceptance: speculative decoding must stay bit-identical and
     # cut model steps decisively (deterministic, never flaky); wall-clock
     # speedup is recorded and regression-gated, not asserted here.
@@ -473,7 +476,7 @@ def main(argv=None) -> int:
             return 1
         print("SMOKE OK: batched >= sequential tokens/sec, "
               f"{result['memory']['memory_saving_ratio']:.1f}x KV saving, "
-              f"{prefix['step_speedup']:.1f}x prefill-step win on cache hits, "
+              f"{prefix['row_speedup']:.1f}x prefill-row win on cache hits, "
               f"{spec['step_speedup']:.1f}x speculative step win, "
               f"float32 halves KV bytes")
     return 0

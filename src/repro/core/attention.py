@@ -150,15 +150,21 @@ class MultiHeadSelfAttention(Module):
         return self.proj(out)
 
     def step(self, x_last: np.ndarray, state) -> np.ndarray:
-        """Incremental decoding: one new position against cached keys/values.
+        """Incremental decoding: new positions against cached keys/values.
 
-        ``x_last`` is the (B, 1, d_model) input for the newest position;
-        ``state`` is this layer's view of a KV cache (a layer of
-        :class:`repro.infer.PagedKVCache` or :class:`repro.infer.KVCache`):
-        ``state.append(k, v)`` stores the new keys/values and returns
-        ``(keys, values, mask)`` over every position the rows attend to,
-        with an additive key-position mask for ragged batches (``None``
-        when every row sees the same positions).
+        ``x_last`` is the (B, 1, d_model) input, one row per new
+        position; ``state`` is this layer's view of a KV cache (a layer
+        of :class:`repro.infer.PagedKVCache` or
+        :class:`repro.infer.KVCache`): ``state.append(k, v)`` stores the
+        new keys/values and returns ``(keys, values, mask, spans)`` — one
+        gathered history per span, an additive per-row key-position mask
+        for ragged batches (``None`` when every row sees the same
+        positions) and the row grouping of
+        :attr:`repro.infer.SpanBatch.spans` (``None``: every row is its
+        own span).  Single-row spans run through a per-row einsum; each
+        wide span of ``m`` consecutive positions runs as one
+        ``(H, m, hd) @ (H, hd, t)`` matmul against its shared history,
+        the per-row mask supplying causality inside the span.
 
         Inference-only plain-NumPy math — per-token cost O(T) instead of
         the O(T^2) of re-running the full forward.
@@ -171,16 +177,39 @@ class MultiHeadSelfAttention(Module):
             return t.reshape(batch, self.num_heads, self.head_dim)
 
         q, k, v = heads(q), heads(k), heads(v)  # (B, H, hd)
-        keys, values, mask = state.append(k, v)  # (B, H, t, hd)
+        keys, values, mask, spans = state.append(k, v)  # (spans, H, t, hd)
         # float(): a np.float64 divisor would upcast float32 scores (NEP 50
         # keeps numpy scalars strong); a Python float follows the array.
-        scores = np.einsum("bhd,bhtd->bht", q, keys) / float(np.sqrt(self.head_dim))
-        if mask is not None:
-            scores = scores + mask[:, None, :]
-        scores -= scores.max(axis=-1, keepdims=True)
-        exp = np.exp(scores)
-        attn = exp / f64_sum(exp, axis=-1, keepdims=True)
-        out = np.einsum("bht,bhtd->bhd", attn, values)
+        scale = float(np.sqrt(self.head_dim))
+        if spans is None:
+            out = _attend_rows(q, keys, values, mask, scale)
+        else:
+            single, wide = spans
+            out = np.empty_like(q)
+            n = len(single)
+            if n:
+                out[single] = _attend_rows(q[single], keys[:n], values[:n],
+                                           mask[single], scale)
+            for i, (row, m) in enumerate(wide, start=n):
+                rows = slice(row, row + m)
+                scores = q[rows].transpose(1, 0, 2) @ keys[i].swapaxes(-1, -2)
+                scores = scores / scale + mask[rows]       # (H, m, t)
+                out[rows] = (_softmax(scores) @ values[i]).transpose(1, 0, 2)
         out = out.reshape(batch, self.d_model)
         out = out @ self.proj.weight.data + self.proj.bias.data
         return out[:, None, :]
+
+
+def _softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the key axis, normalised with a float64 sum."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    exp = np.exp(scores)
+    return exp / f64_sum(exp, axis=-1, keepdims=True)
+
+
+def _attend_rows(q, keys, values, mask, scale) -> np.ndarray:
+    """(n, H, hd) queries, one per (n, H, t, hd) history -> (n, H, hd)."""
+    scores = np.einsum("bhd,bhtd->bht", q, keys) / scale
+    if mask is not None:
+        scores = scores + mask[:, None, :]
+    return np.einsum("bht,bhtd->bhd", _softmax(scores), values)

@@ -14,9 +14,11 @@ sequence lengths, identical prompt prefixes are shared across requests
 via :class:`PrefixCache`, and forks copy-on-write.  Every engine step is
 one span plan (:class:`SpanBatch`, installed by
 :meth:`PagedKVCache.begin_spans`): ``(slot, start, m)`` per active
-sequence, one position for plain decoding, up to k+1 on a forked slot
-for a speculative verify.  Greedy and seeded output is bit-identical to
-per-prompt ``generate_fast`` (see docs/KV_CACHE.md).
+sequence — a prompt's whole uncached prefill as one span, then one
+position per plain decode step, or up to k+1 on a forked slot for a
+speculative verify — with each span's KV history gathered once.
+Greedy and seeded output is bit-identical to per-prompt
+``generate_fast`` (see docs/KV_CACHE.md).
 
 Sampling is per request (:class:`SamplingParams`: temperature, top-k,
 top-p, stop token, seed; the engine groups identical params into one

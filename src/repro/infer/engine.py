@@ -5,19 +5,20 @@ N full decode loops.  :class:`GenerationEngine` instead keeps a fixed pool
 of ``batch_size`` cache slots and advances *every* active sequence per
 model step — one batched ``decode_step`` instead of one step per user.
 Sequences are admitted from a queue, left-aligned at position 0 with
-their own per-slot length counters (so a short prompt starts sampling
-while a long one is still prefilling), and retired independently the
-moment they emit their stop token or exhaust their token budget; a queued
-prompt immediately takes the freed slot (continuous batching), so the
-batch stays full whenever there is work.
+their own per-slot length counters (so a new prompt prefills in the
+same model step in which older sequences decode), and retired
+independently the moment they emit their stop token or exhaust their
+token budget; a queued prompt immediately takes the freed slot
+(continuous batching), so the batch stays full whenever there is work.
 
 One decode loop: every :meth:`GenerationEngine.step` builds one *span
 plan* — ``(slot, start, m)`` per active sequence, ``m`` consecutive
 positions laid out along the batch axis — installs it with
 :meth:`~repro.infer.PagedKVCache.begin_spans`, and runs one
 ``decode_step`` over ``cache.layers``.  Plain decoding is ``m = 1`` for
-every sequence (one-position prefill included); speculative decoding
-adds verify spans of up to ``k + 1`` rows on a forked slot.
+every decoding sequence; a prompt is prefilled as one span of all its
+uncached positions (chunked prefill, in both modes), and speculative
+decoding adds verify spans of up to ``k + 1`` rows on a forked slot.
 
 Sampling is configured **per request**: each submit carries a
 :class:`~repro.infer.SamplingParams` (``params=`` on the constructor
@@ -208,10 +209,6 @@ class GenerationEngine:
         # touch the engine's RNG.
         self.on_token = on_token
         self.spec = speculative
-        # Positions one step may feed a still-prefilling sequence: one
-        # in plain decoding (one-position prefill), k+1 under
-        # speculation (chunked prefill at the verify span's width).
-        self._chunk = 1 if speculative is None else speculative.k + 1
         # Speculative mode doubles the slot count: slot i's draft branch
         # verifies on scratch slot batch_size + i.  The pool is sized
         # for the *real* batch plus per-slot speculation headroom (the
@@ -236,6 +233,7 @@ class GenerationEngine:
         # Serving accounting (cheap, always on; see stats()).
         self._clock = time.perf_counter
         self._active_slot_steps = 0     # sum over steps of active-slot count
+        self._rows_forwarded = 0        # batch rows through decode_step
         self._sampled_tokens = 0
         self._submitted = 0
         self._completed = 0
@@ -515,19 +513,21 @@ class GenerationEngine:
     def _span_shape(self, seq: _Sequence) -> tuple[int, int]:
         """``(m, k)``: positions ``seq`` feeds this step, ``k`` of them drafts.
 
-        A still-prefilling sequence feeds up to ``self._chunk`` known
-        tokens; a sequence at the decode rest point (one pending token)
-        feeds it plus, under speculation, ``k`` drafts — capped so the
-        round never drafts past its token budget.  A preemption replay
-        of sampled tokens stops at the rest point, so the sequence
-        resumes with the same round — and the same RNG draws — it would
-        have run unpreempted.
+        One prefill rule in both modes: until its first token is
+        sampled, a sequence feeds every unfed prompt token as one plain
+        span, whose last row samples that token.  A sequence at the
+        decode rest point (one pending token) feeds it plus, under
+        speculation, ``k`` drafts — capped so the round never drafts
+        past its token budget.  A preemption replay of sampled tokens
+        feeds up to the rest point in one span, so the sequence resumes
+        with the same round — and the same RNG draws — it would have
+        run unpreempted.
         """
         remaining = len(seq.tokens) - seq.fed
+        if len(seq.tokens) == seq.prompt_len:
+            return remaining, 0
         if remaining > 1:
-            if len(seq.tokens) > seq.prompt_len:
-                remaining -= 1
-            return min(remaining, self._chunk), 0
+            return remaining - 1, 0
         if self.spec is None:
             return 1, 0
         budget = seq.max_new_tokens - (len(seq.tokens) - seq.prompt_len)
@@ -678,10 +678,10 @@ class GenerationEngine:
         ``self.cache.layers``:
 
         - a *feed* span writes known tokens on the sequence's own slot —
-          one position in plain decoding, up to ``k + 1`` under
-          speculation (chunked prefill).  It commits, and when it
-          reaches the end of the sequence its last row samples a token
-          through the grouped :meth:`_sample_rows`;
+          the whole uncached prompt until the first token is sampled,
+          then one position per step in plain decoding.  It commits,
+          and when it reaches the end of the sequence its last row
+          samples a token through the grouped :meth:`_sample_rows`;
         - a *verify* span (speculation only) forks the slot to scratch
           slot ``batch_size + slot``, drafts ``k`` tokens, and feeds the
           pending token plus the drafts there; :func:`verify_draft`
@@ -689,10 +689,10 @@ class GenerationEngine:
           :meth:`~repro.infer.PagedKVCache.promote_fork` commits it.
 
         Greedy sequences decode the same tokens with or without
-        speculation: every row sees byte-identical history (a span
-        writes exactly what sequential one-position steps would have
-        written), and the greedy accept rule emits the argmax at every
-        position.
+        speculation: both modes prefill the same span and sample the
+        first token plainly, every later row sees the history
+        sequential one-position steps would have written, and the
+        greedy accept rule emits the argmax at every position.
         """
         self._admit()
         active = [slot for slot in range(self.batch_size)
@@ -735,6 +735,7 @@ class GenerationEngine:
                 self.cache.layers)
         self.total_steps += 1
         self._active_slot_steps += len(active)
+        self._rows_forwarded += len(tokens)
         self._c_steps.inc()
         finished: list[GenerationResult] = []
 
@@ -751,9 +752,9 @@ class GenerationEngine:
                 # Prompt fully ingested: publish its full pages so later
                 # requests sharing the prefix skip this work (idempotent
                 # if the pages came from the cache in the first place).
-                # Only the prompt is published: a chunked feed or a
-                # preemption replay may already be past it, and decode
-                # positions are continuations, not shared context.
+                # Only the prompt is published: a preemption replay may
+                # already be past it, and decode positions are
+                # continuations, not shared context.
                 self.cache.register_prefix(slot, seq.tokens[:seq.prompt_len])
             if seq.fed == len(seq.tokens):
                 sampling.append((slot, seq, last))
@@ -895,7 +896,9 @@ class GenerationEngine:
 
         ``occupancy`` is the fraction of slot-steps that carried an
         active sequence — 1.0 means the batch stayed full for the whole
-        run, the continuous-batching ideal.
+        run, the continuous-batching ideal.  ``rows_forwarded`` counts
+        the batch rows (positions) every ``decode_step`` ran: the model
+        work, where ``total_steps`` counts the calls.
         """
         slot_steps = self.total_steps * self.batch_size
         kv = self.cache.stats()
@@ -922,6 +925,7 @@ class GenerationEngine:
             "queue_depth": self.num_queued,
             "total_steps": self.total_steps,
             "sampled_tokens": self._sampled_tokens,
+            "rows_forwarded": self._rows_forwarded,
             "requests_submitted": self._submitted,
             "requests_completed": self._completed,
             "occupancy": (self._active_slot_steps / slot_steps

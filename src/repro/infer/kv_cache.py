@@ -91,11 +91,12 @@ class LayerKV:
     def append(self, k: np.ndarray, v: np.ndarray):
         """Write this step's (n, H, head_dim) keys/values in place.
 
-        Returns ``(keys, values, mask)`` where keys/values cover every
-        cached position the active rows may attend to — including the
-        entries just written — and ``mask`` is an additive ``(n, t)``
+        Returns ``(keys, values, mask, None)`` where keys/values cover
+        every cached position the active rows may attend to — including
+        the entries just written — and ``mask`` is an additive ``(n, t)``
         array (or ``None`` when all rows share one length and need no
-        masking).
+        masking).  The trailing ``None`` is the span grouping of the
+        paged layer's ``append``: here every row is its own span.
         """
         cache = self._cache
         kb = cache._k[self._layer]
@@ -119,7 +120,7 @@ class LayerKV:
             keys = kb[:, :, lo:t_max][active]
             values = vb[:, :, lo:t_max][active]
         return keys, values, ragged_key_mask(new_lens, lo, t_max, window,
-                                             dtype=kb.dtype)
+                                             dtype=kb.dtype), None
 
 
 class KVCache:

@@ -206,8 +206,10 @@ class PagedLayerKV:
     def append(self, k: np.ndarray, v: np.ndarray):
         """Write this step's (rows, H, head_dim) keys/values into the pool.
 
-        Returns ``(keys, values, mask)`` gathered over every cached
-        position the rows may attend to.
+        Returns ``(keys, values, mask, spans)``: keys/values hold one
+        gathered ``(H, t, hd)`` history per *span* (not per row), mask
+        is the per-row ``(rows, t)`` ragged mask, and ``spans`` is the
+        plan's row grouping (:attr:`SpanBatch.spans`).
         """
         plan = self._cache._plan
         if plan is None:
@@ -217,7 +219,7 @@ class PagedLayerKV:
         vb = self._cache._v[self._layer]
         kb[plan.pages, :, plan.offsets, :] = k
         vb[plan.pages, :, plan.offsets, :] = v
-        return plan.gather(kb), plan.gather(vb), plan.mask
+        return plan.gather(kb), plan.gather(vb), plan.mask, plan.spans
 
 
 class SpanBatch:
@@ -232,9 +234,18 @@ class SpanBatch:
     gathers vectorized.  Slot lengths are NOT advanced: the caller
     commits explicitly (``commit_span`` / ``promote_fork``) after
     deciding how much of each span survives.
+
+    The gather reads each span's history once, however many rows the
+    span has: one gather-table row per span, single-row spans first.
+    ``spans`` tells the attention step which batch rows share which
+    history — ``None`` when every span has one row (gathered row ``i``
+    is batch row ``i``), else ``(single, wide)``: ``single`` holds the
+    batch rows of the one-row spans, whose histories are gathered rows
+    ``0 .. len(single) - 1``, and ``wide`` holds ``(first_row, m)`` per
+    wider span, in gathered-row order after them.
     """
 
-    __slots__ = ("pages", "offsets", "new_lens", "mask", "_table",
+    __slots__ = ("pages", "offsets", "new_lens", "mask", "spans", "_table",
                  "_page_size", "_skip", "_width")
 
     def __init__(self, cache: "PagedKVCache", spans):
@@ -274,22 +285,29 @@ class SpanBatch:
         lo = 0 if window is None else max(0, int(self.new_lens.min()) - window)
         self.mask = ragged_key_mask(self.new_lens, lo, t_max, window,
                                     dtype=cache.dtype)
-        # Gather table, one row per span repeated over its m rows.  Rows
+        # Gather table, one row per span, single-row spans first.  Spans
         # shorter than t_max read the defaulted page 0 beyond their block
         # table — exactly the positions the mask sends to -inf, so their
         # values never reach an attention weight (exp(-inf) == 0.0).
+        widths = [m for _, _, m in spans]
+        order = sorted(range(len(spans)), key=lambda i: widths[i] > 1)
         page_lo, page_hi = lo // size, -(-t_max // size)
         table = np.zeros((len(spans), page_hi - page_lo), dtype=np.int64)
-        for row, (slot, _, _) in enumerate(spans):
-            held = cache.block_tables[slot][page_lo:page_hi]
+        for row, i in enumerate(order):
+            held = cache.block_tables[spans[i][0]][page_lo:page_hi]
             table[row, :len(held)] = held
-        self._table = np.repeat(table, [m for _, _, m in spans], axis=0)
+        self._table = table
+        first_rows = np.cumsum([0] + widths[:-1])
+        n_single = widths.count(1)
+        self.spans = None if n_single == len(spans) else (
+            first_rows[order[:n_single]],
+            [(int(first_rows[i]), widths[i]) for i in order[n_single:]])
         self._page_size = size
         self._skip = lo - page_lo * size
         self._width = t_max - lo
 
     def gather(self, buf: np.ndarray) -> np.ndarray:
-        """Contiguous (rows, H, t, hd) history of one layer's pool."""
+        """Contiguous (spans, H, t, hd) history of one layer's pool."""
         size = self._page_size
         n, cols = self._table.shape
         _, heads, _, head_dim = buf.shape

@@ -6,7 +6,7 @@ path — e.g. reintroducing per-token cache reallocation — fails the normal
 test run, not just a manually-invoked benchmark.  The record's PR 8
 phases are gated too: the paged KV backend must hold >=2x less memory
 per concurrent request than the dense buffer (bit-identically), and
-prefix-cache hits must skip prefill steps.  The PR 9 speculative phase
+prefix-cache hits must skip prefill rows.  The PR 9 speculative phase
 is gated on deterministic model-step counts (never wall-clock): the
 n-gram draft at k=4 must cut model steps >=1.5x while staying
 bit-identical to plain greedy decoding.
@@ -57,12 +57,12 @@ def test_inference_throughput_smoke(tmp_path):
         memory["dense_kv_bytes_per_request"]
 
     # PR 8 prefix phase: warm requests hit the cache and skip prefill
-    # steps (deterministic counts — wall-clock TTFT is reported but not
+    # rows (deterministic counts — wall-clock TTFT is reported but not
     # gated here, to keep tier-1 robust on busy machines)
     prefix = record["prefix"]
     assert prefix["warm_matches_reference"] is True
     assert prefix["prefix_hits"] == prefix["num_requests"] - 1
-    assert prefix["warm_prefill_steps_mean"] < prefix["cold_prefill_steps"]
+    assert prefix["warm_prefill_rows_mean"] < prefix["cold_prefill_rows"]
     assert prefix["hit_tokens"] > 0
 
     # PR 9 speculative phase: bit-identical greedy output with a

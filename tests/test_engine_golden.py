@@ -14,11 +14,16 @@ oracle for everything.  The page-need rule decides *when* to preempt, so
 follow the scheduling.  Greedy tokens must still match the record, and
 seeded tokens must match the same batch decoded in the default pool:
 a per-request seed makes a trajectory independent of preemption.
+
+The record itself is checked against an oracle that is not the engine:
+greedy tokens in every case, and seeded tokens under plain decoding,
+equal per-prompt ``generate_fast``.
 """
 
+import numpy as np
 import pytest
 
-from tests.engine_golden import CASES, load_golden, run_case
+from tests.engine_golden import CASES, _model, _requests, load_golden, run_case
 
 GOLDEN = load_golden()
 
@@ -40,6 +45,25 @@ def test_engine_matches_golden(name):
         _tokens(want, {"greedy", "greedy_stop"})
     unpressured = GOLDEN[name.replace("-tiny-", "-default-")]
     assert _tokens(got, {"seeded"}) == _tokens(unpressured, {"seeded"})
-    # The exact per-span page need never preempts more than the
-    # recorded rule, which reserved a copy-on-write page for every slot.
+    # The tiny pool must still preempt, and never more often than the
+    # record.
     assert 0 < got["preemptions"] <= want["preemptions"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_tokens_match_generate_fast(name):
+    case = CASES[name]
+    model = _model(case["dtype"], case["window"])
+    checked = 0
+    for (kind, params, prompt, max_new), record in zip(
+            _requests(), GOLDEN[name]["requests"]):
+        if not (params.greedy or (params.seed is not None and case["k"] == 0)):
+            continue
+        rng = None if params.seed is None else \
+            np.random.default_rng(params.seed)
+        assert record["tokens"] == model.generate_fast(
+            prompt, max_new, rng=rng, temperature=params.temperature,
+            top_k=params.top_k, top_p=params.top_p, greedy=params.greedy,
+            stop_token=params.stop_token), (kind, prompt)
+        checked += 1
+    assert checked == (5 if case["k"] == 0 else 3)

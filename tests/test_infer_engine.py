@@ -168,8 +168,8 @@ class TestOneDecodeLoop:
                              ids=["plain", "speculative"])
     def test_decode_step_reads_cache_layers(self, speculative):
         """Both modes hand ``decode_step`` the cache's own ``layers``
-        list, so a layer wrapped in place sees every KV write — verify
-        spans (several rows of one sequence) included."""
+        list, so a layer wrapped in place sees every KV write — prefill
+        and verify spans (several rows of one sequence) included."""
         model = tiny_model()
         prompts = [[1, 2, 3], [4, 5], [6, 7, 8, 9]]
         refs = [model.generate_fast(p, 10, greedy=True) for p in prompts]
@@ -183,15 +183,18 @@ class TestOneDecodeLoop:
         engine = GenerationEngine(model, batch_size=2,
                                   params=SamplingParams(greedy=True),
                                   **kwargs)
-        rows = []
+        rows, wide = [], []
 
         class CountingLayer:
             def __init__(self, layer):
                 self.layer = layer
 
             def append(self, k, v):
+                result = self.layer.append(k, v)
+                spans = result[3]
                 rows.append(k.shape[0])
-                return self.layer.append(k, v)
+                wide.append(0 if spans is None else len(spans[1]))
+                return result
 
         layers = engine.cache.layers
         layers[:] = [CountingLayer(layer) for layer in layers]
@@ -205,8 +208,14 @@ class TestOneDecodeLoop:
         model.decode_step = spy
         assert engine.generate(prompts, 10) == refs
         assert passed and all(passed)
-        assert len(rows) == len(passed) * model.config.num_layers
-        assert (max(rows) > engine.batch_size) == speculative
+        layers_n = model.config.num_layers
+        assert len(rows) == len(passed) * layers_n
+        assert sum(rows) == engine.stats()["rows_forwarded"] * layers_n
+        # Plain decoding has one wide span per request, its prefill;
+        # speculation adds verify spans.
+        assert (sum(wide) > len(prompts) * layers_n) == speculative
+        if not speculative:
+            assert sum(wide) == len(prompts) * layers_n
 
 
 class TestEngineValidation:
@@ -235,7 +244,7 @@ class TestEngineValidation:
         assert result.prompt_len == 3
         assert result.completion == result.tokens[3:]
         assert len(result.completion) == 6
-        assert result.steps == 3 + 6 - 1  # prefill + decode, sharing one step
+        assert result.steps == 1 + 6 - 1  # one prefill span + decode, sharing one step
 
 
 class TestInterleavedSubmitters:

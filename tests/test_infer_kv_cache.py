@@ -32,9 +32,10 @@ class TestKVCache:
         for t in range(4):
             k, v = _rand_kv(rng, 2, 1, 3)
             written.append(k)
-            keys, values, mask = cache.layers[0].append(k, v)
+            keys, values, mask, spans = cache.layers[0].append(k, v)
             cache.advance()
             assert mask is None  # uniform lengths
+            assert spans is None  # the dense cache: one row per span
             assert keys.shape == (2, 1, t + 1, 3)
             assert np.array_equal(keys[:, :, -1], k)
             for j, past in enumerate(written):
@@ -61,7 +62,7 @@ class TestKVCache:
             cache.layers[0].append(*_rand_kv(rng, 1, 1, 2))
             cache.advance()
         cache.set_active(np.array([0, 1]))
-        keys, values, mask = cache.layers[0].append(*_rand_kv(rng, 2, 1, 2))
+        keys, values, mask, _ = cache.layers[0].append(*_rand_kv(rng, 2, 1, 2))
         assert keys.shape[2] == 3  # slot 0 now at length 3
         assert mask is not None and mask.shape == (2, 3)
         assert np.all(mask[0] == 0.0)                      # full history valid
@@ -73,7 +74,7 @@ class TestKVCache:
                         max_seq_len=12, head_dim=2, window=3)
         rng = np.random.default_rng(0)
         for t in range(12):
-            keys, _values, mask = cache.layers[0].append(*_rand_kv(rng, 1, 1, 2))
+            keys, _values, mask, _ = cache.layers[0].append(*_rand_kv(rng, 1, 1, 2))
             cache.advance()
             assert mask is None
             assert keys.shape[2] == min(t + 1, 3)
@@ -89,7 +90,7 @@ class TestKVCache:
         assert cache.lengths[1] == 0 and cache.lengths[0] == 3
         cache.set_active(np.array([1]))
         k, v = _rand_kv(rng, 1, 1, 2)
-        keys, _values, mask = cache.layers[0].append(k, v)
+        keys, _values, mask, _ = cache.layers[0].append(k, v)
         assert keys.shape[2] == 1
         assert np.array_equal(keys[0, :, 0], k[0])
 
@@ -122,14 +123,21 @@ class TestPagedWindowedStep:
                             page_size=4, window=window)
 
     def test_reads_stay_within_window(self):
+        """A span gathers one history, bounded by the window: its ``m``
+        rows read the first row's window plus the ``m - 1`` positions
+        after it, never the whole prefix."""
         rng = np.random.default_rng(0)
         cache = self.cache(window=4, max_seq_len=20)
-        for t in range(20):
-            cache.begin_spans([(0, t, 1)])
-            keys, values, mask = cache.layers[0].append(*_rand_kv(rng, 1, 2, 4))
-            cache.commit_span(0, t + 1)
-            assert mask is None
-            assert keys.shape[2] == values.shape[2] == min(t + 1, 4)
+        t = 0
+        for m in (3, 1, 1, 5, 1, 6, 1, 2):
+            cache.begin_spans([(0, t, m)])
+            keys, values, mask, spans = cache.layers[0].append(
+                *_rand_kv(rng, m, 2, 4))
+            cache.commit_span(0, t + m)
+            assert keys.shape[0] == values.shape[0] == 1
+            assert keys.shape[2] == values.shape[2] == min(t + m, 4 + m - 1)
+            assert (mask is None) == (spans is None) == (m == 1)
+            t += m
 
     def test_windowed_step_matches_full_forward(self):
         """The step path over the paged cache agrees with the

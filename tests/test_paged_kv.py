@@ -90,38 +90,63 @@ class TestPagePool:
             decode_one(cache, 0, np.random.default_rng(0), steps=1)
 
     def test_gather_matches_dense_layout_bitwise(self):
-        """The paged gather must reproduce the dense buffer exactly."""
+        """Each span's gathered history is its slot's dense-buffer layout
+        bit for bit, however many rows the span has."""
         from repro.infer import KVCache
         rng = np.random.default_rng(7)
         paged = make_cache(prefix_sharing=False)
         dense = KVCache(num_layers=2, batch_size=3, num_heads=2,
                         max_seq_len=32, head_dim=8)
-        steps = [5, 3, 5]   # ragged lengths across three slots
-        for slot, n in enumerate(steps):
-            for pos in range(n):
-                k = rng.standard_normal((1, 2, 8))
-                v = rng.standard_normal((1, 2, 8))
-                paged.begin_spans([(slot, pos, 1)])
+        kv = [(rng.standard_normal((7, 2, 8)), rng.standard_normal((7, 2, 8)))
+              for _ in range(3)]
+        ref = {}
+
+        def dense_upto(slot, end):
+            """Feed the dense cache one position per step up to ``end``."""
+            for pos in range(int(dense.lengths[slot]), end):
                 dense.set_active(np.array([slot]))
-                ret_p = [layer.append(k, v) for layer in paged.layers]
-                ret_d = [layer.append(k, v) for layer in dense.layers]
-                paged.commit_span(slot, pos + 1)
+                ret = [layer.append(kv[slot][0][pos:pos + 1],
+                                    kv[slot][1][pos:pos + 1])
+                       for layer in dense.layers]
                 dense.advance()
-        for (kp, vp, mp), (kd, vd, md) in zip(ret_p, ret_d):
-            assert np.array_equal(kp, kd) and np.array_equal(vp, vd)
-        # mixed-length batch: identical gathered values and masks
-        paged.begin_spans([(slot, n, 1) for slot, n in enumerate(steps)])
-        dense.set_active(np.arange(3))
-        k = rng.standard_normal((3, 2, 8))
-        v = rng.standard_normal((3, 2, 8))
-        for lp, ld in zip(paged.layers, dense.layers):
-            kp, vp, mp = lp.append(k, v)
-            kd, vd, md = ld.append(k, v)
-            np.testing.assert_array_equal(mp, md)
-            valid = ~np.isinf(mp)             # garbage only behind -inf
-            assert np.array_equal(kp[..., :][np.broadcast_to(
-                valid[:, None, :, None], kp.shape)],
-                kd[np.broadcast_to(valid[:, None, :, None], kd.shape)])
+                ref[slot] = [(kd[0], vd[0]) for kd, vd, *_ in ret]
+
+        # Ragged lengths 5, 3, 5 written as spans of mixed widths; the
+        # 5-row span crosses a page boundary.
+        for slot, widths in ((0, [5]), (1, [1, 2]), (2, [2, 1, 2])):
+            start = 0
+            for m in widths:
+                paged.begin_spans([(slot, start, m)])
+                ret = [layer.append(kv[slot][0][start:start + m],
+                                    kv[slot][1][start:start + m])
+                       for layer in paged.layers]
+                paged.commit_span(slot, start + m)
+                start += m
+                dense_upto(slot, start)
+                for (kp, vp, *_), (kd, vd) in zip(ret, ref[slot]):
+                    assert kp.shape[0] == 1        # one history per span
+                    assert np.array_equal(kp[0], kd)
+                    assert np.array_equal(vp[0], vd)
+        # Mixed batch: a one-row span between two wider ones.  Histories
+        # come back single-row spans first; each matches its slot's
+        # dense layout wherever its rows' masks let a key through.
+        spans = [(1, 3, 3), (0, 5, 1), (2, 5, 2)]
+        paged.begin_spans(spans)
+        k = np.concatenate([kv[s][0][a:a + m] for s, a, m in spans])
+        v = np.concatenate([kv[s][1][a:a + m] for s, a, m in spans])
+        for slot, start, m in spans:
+            dense_upto(slot, start + m)
+        positions = np.array([3, 4, 5, 5, 5, 6])
+        for layer, lp in enumerate(paged.layers):
+            kp, vp, mp, (single, wide) = lp.append(k, v)
+            assert single.tolist() == [3] and wide == [(0, 3), (4, 2)]
+            np.testing.assert_array_equal(
+                np.isneginf(mp), np.arange(7)[None, :] > positions[:, None])
+            for i, slot in enumerate((0, 1, 2)):   # single-row span first
+                kd, vd = ref[slot][layer]
+                end = kd.shape[1]
+                assert np.array_equal(kp[i][:, :end], kd)
+                assert np.array_equal(vp[i][:, :end], vd)
 
 
 class TestCopyOnWrite:
@@ -266,6 +291,70 @@ def engine_vs_solo(model, prompts, max_new, params, batch_size):
              for prompt, p in zip(prompts, params)])
 
 
+class TestWideSpans:
+    """A prompt fed as one span, in a step that also holds one-row
+    decoders, reads one shared history per span and still gives the
+    full forward pass's logits; a step of one-row spans only is the
+    dense per-row path bit for bit."""
+
+    @staticmethod
+    def step(model, cache, spans, tokens):
+        plan = cache.begin_spans(spans)
+        return model.decode_step(np.asarray(tokens), plan.new_lens - 1,
+                                 cache.layers)
+
+    @pytest.mark.parametrize("window", [None, 5])
+    @pytest.mark.parametrize("prefix_hit", [False, True])
+    def test_prompt_span_matches_forward(self, window, prefix_hit):
+        model = tiny_model(attention_window=window)
+        rng = np.random.default_rng(3)
+        a, b, p = (list(rng.integers(0, 13, size=n)) for n in (7, 4, 14))
+        cache = PagedKVCache.for_model(model, 3, page_size=4)
+        # Two decoders with history: a at 6 positions, b at 3.
+        for slot, seq in ((0, a), (1, b)):
+            self.step(model, cache, [(slot, 0, len(seq) - 1)], seq[:-1])
+            cache.commit_span(slot, len(seq) - 1)
+        start = 0
+        if prefix_hit:
+            # Publish p's first two pages, then admit p on top of them.
+            self.step(model, cache, [(2, 0, 9)], p[:9])
+            cache.commit_span(2, 9)
+            cache.register_prefix(2, p[:9])
+            start = cache.try_admit(2, p)
+            assert start == 8
+        # One step: decoder, the prompt's span (crossing pages), decoder.
+        spans = [(0, 6, 1), (2, start, 14 - start), (1, 3, 1)]
+        logits = self.step(model, cache, spans, [a[6]] + p[start:] + [b[3]])
+        full = model.forward(np.asarray(p)).data[0]
+        np.testing.assert_allclose(logits[1:-1], full[start:], rtol=0,
+                                   atol=1e-9)
+        for row, seq in ((0, a), (-1, b)):
+            np.testing.assert_allclose(
+                logits[row], model.forward(np.asarray(seq)).data[0, -1],
+                rtol=0, atol=1e-9)
+
+    def test_one_row_spans_are_the_dense_path_bitwise(self):
+        from repro.infer import KVCache
+        model = tiny_model()
+        rng = np.random.default_rng(4)
+        seqs = [list(rng.integers(0, 13, size=n)) for n in (9, 5, 7)]
+        paged = PagedKVCache.for_model(model, 3, page_size=4)
+        dense = KVCache.for_model(model, 3)
+        # Identical batch compositions on both caches, step for step.
+        for t in range(9):
+            slots = [s for s, seq in enumerate(seqs) if t < len(seq)]
+            tokens = [seqs[s][t] for s in slots]
+            want = self.step(model, paged, [(s, t, 1) for s in slots], tokens)
+            assert paged._plan.spans is None
+            dense.set_active(np.array(slots))
+            got = model.decode_step(np.asarray(tokens), [t] * len(slots),
+                                    dense.layers)
+            dense.advance()
+            for s in slots:
+                paged.commit_span(s, t + 1)
+            assert np.array_equal(got, want)
+
+
 class TestEngineEquivalence:
     SAMPLING = [{"greedy": True}, {"temperature": 1.2, "top_k": 5},
                 {"temperature": 0.8, "top_p": 0.9}]
@@ -298,19 +387,19 @@ class TestEngineEquivalence:
             assert got == want, dtype
 
     def test_prefix_hits_skip_prefill_same_tokens(self, model):
-        """Requests sharing a system prompt hit the cache, run fewer
-        steps, and still match the no-cache reference exactly."""
+        """Requests sharing a system prompt hit the cache, forward fewer
+        rows, and still match the no-cache reference exactly."""
         system = list(np.random.default_rng(0).integers(1, 12, size=40))
         engine = GenerationEngine(model, batch_size=1, params=SamplingParams(greedy=True),
                                   kv_page_size=8)
         cold = engine.generate([system + [1]], 6)[0]
-        cold_steps = engine.total_steps
+        cold_rows = engine.stats()["rows_forwarded"]
         warm = engine.generate([system + [2]], 6)[0]
-        warm_steps = engine.total_steps - cold_steps
+        warm_rows = engine.stats()["rows_forwarded"] - cold_rows
         assert cold == model.generate_fast(system + [1], 6, greedy=True)
         assert warm == model.generate_fast(system + [2], 6, greedy=True)
         # 40 shared tokens / page 8 = 5 pages = 40 positions skipped
-        assert warm_steps == cold_steps - 40
+        assert warm_rows == cold_rows - 40
         stats = engine.stats()["kv"]["prefix_cache"]
         assert stats["hits"] == 1 and stats["hit_tokens"] == 40
 
@@ -410,6 +499,23 @@ class TestStatsAndMetrics:
         assert snap["prefix_cache.miss"]["value"] == 1
         assert snap["engine.kv_pages_free"]["value"] > 0
         assert "engine.kv_pages_shared" in snap
+
+    def test_rows_forwarded_counts_uncached_prompt_and_decode_rows(self, model):
+        """Without preemption every request forwards its uncached prompt
+        once plus one row per sampled token after the first."""
+        engine = GenerationEngine(model, batch_size=3, kv_page_size=4,
+                                  params=SamplingParams(greedy=True, stop_token=3))
+        system = list(np.random.default_rng(5).integers(1, 12, size=10))
+        prompts = [system + [i] * i for i in range(1, 7)] + [[2, 4]]
+        for prompt in prompts:
+            engine.submit(prompt, 9)
+        results = engine.run()
+        stats = engine.stats()
+        assert engine.preemptions == 0
+        hit = stats["kv"]["prefix_cache"]["hit_tokens"]
+        assert hit > 0
+        assert stats["rows_forwarded"] == sum(
+            r.prompt_len + len(r.completion) - 1 for r in results) - hit
 
     def test_default_pool_matches_dense_capacity(self, model):
         engine = GenerationEngine(model, batch_size=4)

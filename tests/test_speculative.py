@@ -302,6 +302,31 @@ class TestStochasticSpeculative:
         assert crowded.preemptions >= 1
         assert [results[i] for i in ids] == solo
 
+    @pytest.mark.parametrize("suffix_len", range(1, 9))
+    def test_seeded_tokens_independent_of_prefix_hits(self, suffix_len):
+        """A prefix-cache hit only skips prefill: the whole uncached
+        prompt is still one span and the first token is sampled plainly,
+        so a seeded request decodes the same tokens cold and warm."""
+        model = tiny_model()
+        system = [3, 1, 4, 1, 5, 9, 2, 6]          # two pages of 4
+        prompt = system + [(7 + i) % 11 for i in range(suffix_len)]
+        draft, _ = distilled_draft(model, [prompt], 12)
+        spec = SpeculativeConfig(draft=draft, k=4)
+        seeded = SamplingParams(temperature=1.2, top_k=8, seed=40 + suffix_len)
+
+        def engine():
+            return GenerationEngine(model, batch_size=1, speculative=spec,
+                                    kv_page_size=4)
+
+        cold = engine()
+        cold.submit(prompt, 12, params=seeded)
+        warm = engine()
+        warm.submit(system + [0], 1, params=GREEDY)   # caches the system pages
+        warm.run()
+        warm.submit(prompt, 12, params=seeded)
+        assert warm.run()[0].tokens == cold.run()[0].tokens
+        assert warm.stats()["kv"]["prefix_cache"]["hit_tokens"] == 8
+
 
 class TestCountersAndStats:
     def test_counter_identity_and_stats_section(self):
