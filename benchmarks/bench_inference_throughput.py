@@ -1,25 +1,29 @@
-"""E20 — decode-path throughput: batched engine vs sequential generate_fast.
+"""E20 — decode-path throughput: batched engine vs one prompt at a time.
 
-The serving claim behind ``repro.infer``: one preallocated-KV
+The serving claim behind ``repro.infer``: one paged-KV
 :class:`GenerationEngine` step advances B sequences for roughly the cost
 of one, so tokens/sec should scale with batch size while N sequential
-``generate_fast`` calls scale with user count.  Measured here as
-end-to-end generated-tokens-per-second on the same prompt set, single
-stream vs engine at several batch sizes, and emitted as a
-``BENCH_inference.json`` record for regression tracking.
+``generate_fast`` calls scale with user count.  ``generate_fast`` is
+itself a fresh batch-1 engine per call, so the sequential baseline is
+the same decode loop one prompt at a time, paying engine setup per
+prompt.  Measured here as end-to-end generated-tokens-per-second on the
+same prompt set, sequential calls vs one engine at several batch sizes,
+and emitted as a ``BENCH_inference.json`` record for regression
+tracking.
 
 The engines run with full :mod:`repro.obs` instrumentation on —
 per-step spans, engine metrics, request lifecycle events — both to
 report serving latency (time-to-first-token, queue wait, occupancy) per
-batch size and to demonstrate the PR 2 acceptance bar: instrumented
-decoding is bit-identical to ``generate_fast`` and within a few percent
-of its uninstrumented throughput.  ``--trace`` dumps the Chrome trace.
+batch size and to show that instrumented batched decoding emits the
+same tokens as the uninstrumented sequential calls.  ``--trace`` dumps
+the Chrome trace.
 
 Two KV phases ride along in the same record: ``memory`` runs the
-workload on the paged engine, asserts outputs bit-identical to
-per-prompt ``generate_fast`` on the dense cache, and reports held KV
-bytes per concurrent request against a dense ``batch x max_seq_len``
-buffer (the paged pool only pays for pages actually written); ``prefix`` decodes requests
+workload on the paged engine, asserts its outputs equal per-prompt
+full-forward :meth:`~repro.core.TransformerLM.generate` (an oracle with
+no KV cache at all), and reports held KV bytes per concurrent request
+against a preallocated ``batch x max_seq_len`` buffer (the paged pool
+only pays for pages actually written); ``prefix`` decodes requests
 sharing a 48-token system prompt and reports cold-vs-warm TTFT and
 prefill rows (positions forwarded before the first token) — warm
 requests reuse the cached prompt pages and skip the covered positions.
@@ -89,20 +93,21 @@ def _build(smoke: bool,
 
 
 def _memory_phase(model, prompts, max_new) -> dict:
-    """KV memory per concurrent request: dense buffer vs paged pool.
+    """KV memory per concurrent request: preallocated buffer vs paged pool.
 
-    Runs the workload on the paged engine, asserts the outputs are
-    bit-identical to per-prompt ``generate_fast`` on the dense cache,
-    and reports held KV bytes per concurrent request — a dense buffer
-    pays ``max_seq_len`` positions per slot up front (batch x
-    ``max_seq_len`` x per-token K+V bytes), the paged pool only what
-    the sequences actually used at peak.
+    Runs the workload on the paged engine, asserts the outputs equal
+    per-prompt full-forward ``generate`` (no KV cache involved), and
+    reports held KV bytes per concurrent request — a preallocated
+    (``dense_*``) buffer pays ``max_seq_len`` positions per slot up
+    front (batch x ``max_seq_len`` x per-token K+V bytes), the paged
+    pool only what the sequences actually used at peak.
     """
     batch = len(prompts)
     paged = GenerationEngine(model, batch_size=batch, params=_GREEDY)
     paged_out = paged.generate(prompts, max_new)
-    assert paged_out == [model.generate_fast(p, max_new, greedy=True)
-                         for p in prompts], "paged engine diverged from dense"
+    assert paged_out == [model.generate(p, max_new, greedy=True)
+                         for p in prompts], \
+        "paged engine diverged from full-forward generate"
     cache = paged.cache
     token_bytes = cache.page_bytes // cache.page_size   # K+V, every layer
     dense_bytes = batch * cache.max_seq_len * token_bytes
@@ -117,7 +122,7 @@ def _memory_phase(model, prompts, max_new) -> dict:
         "page_size": cache.page_size,
         "peak_pages_used": cache.peak_pages_used,
         "pool_pages": cache.num_pages,
-        "bit_identical_to_dense": True,   # the assert above just proved it
+        "matches_full_forward": True,   # the assert above just proved it
     }
 
 
@@ -290,7 +295,8 @@ def run(smoke: bool = False, obs: Observability | None = None) -> dict:
         results = engine.run()
         seconds = time.perf_counter() - start
         out = [r.tokens for r in results]
-        assert out == sequential_out, "engine diverged from generate_fast"
+        assert out == sequential_out, \
+            "batched engine diverged from one-prompt-at-a-time decoding"
         timings = [r.timing for r in results]
         batched.append({
             "batch_size": batch_size,
@@ -323,10 +329,11 @@ def run(smoke: bool = False, obs: Observability | None = None) -> dict:
 
 
 def report(result: dict) -> str:
-    lines = [banner("Batched inference throughput — engine vs sequential decode")]
+    lines = [banner("Batched inference throughput — engine vs sequential "
+                    "generate_fast (a batch-1 engine per prompt)")]
     seq = result["sequential"]
-    rows = [["sequential x8", 1, seq["seconds"], seq["tokens_per_sec"], 1.0,
-             "-", "-"]]
+    rows = [["generate_fast x8", 1, seq["seconds"], seq["tokens_per_sec"],
+             1.0, "-", "-"]]
     for entry in result["batched"]:
         rows.append(["engine", entry["batch_size"], entry["seconds"],
                      entry["tokens_per_sec"],
@@ -343,15 +350,15 @@ def report(result: dict) -> str:
     memory = result["memory"]
     lines.append(banner("Paged KV memory — held bytes per concurrent request"))
     lines.append(fmt_table(
-        ["backend", "bytes/request", "total bytes", "pages"],
-        [["dense", memory["dense_kv_bytes_per_request"],
+        ["layout", "bytes/request", "total bytes", "pages"],
+        [["B x L buffer", memory["dense_kv_bytes_per_request"],
           memory["dense_kv_bytes"], "-"],
          ["paged (peak)", memory["paged_kv_bytes_per_request"],
           memory["paged_kv_peak_bytes"],
           f"{memory['peak_pages_used']}/{memory['pool_pages']}"]]))
     lines.append(
         f"paged engine holds {memory['memory_saving_ratio']:.1f}x less KV "
-        f"memory at peak, bit-identical outputs")
+        f"memory at peak; outputs equal full-forward generate")
     prefix = result["prefix"]
     lines.append(banner("Prefix cache — shared system prompt TTFT"))
     lines.append(fmt_table(
@@ -401,18 +408,18 @@ def test_inference_throughput(benchmark):
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print(report(result))
     # Batched decoding must beat the sequential stream decisively at
-    # batch 8 over 8 sequential generate_fast calls.  The ratio's
-    # denominator (single-stream tokens/sec) wanders +-20% run to run on
-    # a busy core while the engine sits steady in its 4.5-6k tok/s band,
-    # so the gate is 3.5x rather than the typical ~4-5x.
+    # batch 8 over 8 sequential generate_fast calls (each a fresh
+    # batch-1 engine).  The ratio's denominator (single-stream
+    # tokens/sec) wanders +-20% run to run on a busy core, so the gate
+    # is 3.5x rather than the typical ~4-5x.
     assert result["speedup_at_full_batch"] >= 3.5
     # throughput should grow monotonically-ish with batch size
     tps = [entry["tokens_per_sec"] for entry in result["batched"]]
     assert tps[-1] > tps[0]
-    # PR 8 acceptance: >=2x lower KV memory per concurrent short request,
-    # and prefix hits must cut prefill rows (deterministic, never flaky)
+    # Paged KV: >=2x lower KV memory per concurrent short request, and
+    # prefix hits must cut prefill rows (deterministic, never flaky)
     assert result["memory"]["memory_saving_ratio"] >= 2.0
-    assert result["memory"]["bit_identical_to_dense"]
+    assert result["memory"]["matches_full_forward"]
     prefix = result["prefix"]
     assert prefix["prefix_hits"] == prefix["num_requests"] - 1
     assert prefix["warm_prefill_rows_mean"] < prefix["cold_prefill_rows"] / 3

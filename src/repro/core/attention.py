@@ -153,9 +153,9 @@ class MultiHeadSelfAttention(Module):
         """Incremental decoding: new positions against cached keys/values.
 
         ``x_last`` is the (B, 1, d_model) input, one row per new
-        position; ``state`` is this layer's view of a KV cache (a layer
-        of :class:`repro.infer.PagedKVCache` or
-        :class:`repro.infer.KVCache`): ``state.append(k, v)`` stores the
+        position; ``state`` is this layer's view of the KV cache (a layer
+        of :class:`repro.infer.PagedKVCache` with a step plan
+        installed): ``state.append(k, v)`` stores the
         new keys/values and returns ``(keys, values, mask, spans)`` — one
         gathered history per span, an additive per-row key-position mask
         for ragged batches (``None`` when every row sees the same

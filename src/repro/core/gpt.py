@@ -168,11 +168,10 @@ class TransformerLM(Module, LanguageModel):
 
         ``states`` holds one KV-cache layer view per block — the
         ``layers`` of a :class:`repro.infer.PagedKVCache` whose step plan
-        the caller installed (``begin_spans``), or of the dense
-        :class:`repro.infer.KVCache` (whose ``advance()`` the caller
-        commits after this returns).  Rows may be different sequences or
-        consecutive positions of one sequence.  Plain-NumPy inference
-        math mirroring :meth:`forward` exactly for each row's position.
+        the caller installed (``begin_spans``) and commits after this
+        returns.  Rows may be different sequences or consecutive
+        positions of one sequence.  Plain-NumPy inference math mirroring
+        :meth:`forward` exactly for each row's position.
         """
         x = self._embed_positions(tokens, positions)
         for block, state in zip(self.blocks, states):
@@ -199,46 +198,23 @@ class TransformerLM(Module, LanguageModel):
         Produces the same samples as :meth:`generate` (identical logits up
         to floating-point round-off, and the same ids for the same seed —
         including the stop-token convention of appending the stop token
-        and halting).  Total length must fit the model's window L — the
-        guard below makes every position absolute, so no sliding-window
-        re-offsetting is ever needed here (the re-encoding of long
-        contexts is what :meth:`generate` handles).
+        and halting).  Total length must fit the model's window L, so
+        every position is absolute and no sliding-window re-offsetting is
+        ever needed (the re-encoding of long contexts is what
+        :meth:`generate` handles); an empty prompt or an overlong request
+        raises ``ValueError``.
 
-        Runs on the same preallocated-:class:`~repro.infer.KVCache` decode
-        path as the batched :class:`~repro.infer.GenerationEngine`, as the
-        batch-size-1 case.
+        A batch-1 :class:`~repro.infer.GenerationEngine` on the paged KV
+        cache: the prompt prefills in one step, then one step per token.
         """
-        from ..infer.kv_cache import KVCache
-        from .sampling import sample_token
+        from ..infer import GenerationEngine, SamplingParams
 
-        ids = [int(i) for i in prompt]
-        if not ids:
-            raise ValueError("generate_fast requires a non-empty prompt")
-        if len(ids) + max_new_tokens > self.config.max_seq_len:
-            raise ValueError(
-                f"prompt + max_new_tokens = {len(ids) + max_new_tokens} "
-                f"exceeds window L={self.config.max_seq_len}; use generate()"
-            )
-        cache = KVCache.for_model(self, batch_size=1,
-                                  max_seq_len=len(ids) + max_new_tokens)
-
-        def advance(token: int, position: int) -> np.ndarray:
-            logits = self.decode_step([token], [position], cache.layers)[0]
-            cache.advance()
-            return logits
-
-        logits = None
-        for position, token in enumerate(ids):
-            logits = advance(token, position)
-        for remaining in range(max_new_tokens, 0, -1):
-            token = sample_token(logits, rng=rng, temperature=temperature,
-                                 top_k=top_k, top_p=top_p, greedy=greedy)
-            ids.append(token)
-            if stop_token is not None and token == stop_token:
-                break
-            if remaining > 1:
-                logits = advance(token, len(ids) - 1)
-        return ids
+        engine = GenerationEngine(
+            self, batch_size=1, rng=rng,
+            params=SamplingParams(temperature=temperature, top_k=top_k,
+                                  top_p=top_p, greedy=greedy,
+                                  stop_token=stop_token))
+        return engine.generate([prompt], max_new_tokens)[0]
 
 
 def _logsumexp(v: np.ndarray) -> float:

@@ -1,7 +1,7 @@
 """Process-wide compute dtype policy for the NumPy stack.
 
 Every hot path in the repo — autograd tensors, the fused attention
-kernels, parameter initialization, and both KV-cache backends — is
+kernels, parameter initialization, and the paged KV cache — is
 memory-bandwidth-bound, so the array dtype is a direct ~2x lever on
 throughput and KV bytes.  This module is the single source of truth for
 which floating dtype those paths allocate in.
@@ -9,7 +9,7 @@ which floating dtype those paths allocate in.
 Resolution order (first match wins):
 
 1. an explicit ``dtype=`` argument at the call site
-   (``Tensor(x, dtype=...)``, ``KVCache(..., dtype=...)``);
+   (``Tensor(x, dtype=...)``, ``PagedKVCache(..., dtype=...)``);
 2. the per-model knob ``TransformerConfig(dtype="float32")``, applied
    as a :func:`dtype_scope` around model construction — parameters keep
    that dtype for the model's lifetime, so forwards, gradients, and KV

@@ -1,12 +1,10 @@
-"""Batched inference: KV caches + a continuous-batching engine.
+"""Batched inference: a paged KV cache + a continuous-batching engine.
 
 ``repro.core`` ends the §6 recipe at single-sequence sampling; this
-package is the serving layer on top of it.  :class:`KVCache` replaces the
-per-token ``np.concatenate`` cache growth with one up-front allocation
-and in-place appends (the batch-1 ``generate_fast`` loop), and
-:class:`GenerationEngine` decodes a whole pool of prompts per model step,
-admitting queued prompts into retired slots so throughput scales with
-batch size instead of user count.
+package is the serving layer on top of it.  :class:`GenerationEngine`
+decodes a whole pool of prompts per model step, admitting queued prompts
+into retired slots so throughput scales with batch size instead of user
+count; ``TransformerLM.generate_fast`` is the same engine at batch 1.
 
 The engine runs on :class:`PagedKVCache`: KV storage lives in fixed-size
 refcounted pages with per-slot block tables, so memory tracks actual
@@ -17,8 +15,9 @@ one span plan (:class:`SpanBatch`, installed by
 sequence — a prompt's whole uncached prefill as one span, then one
 position per plain decode step, or up to k+1 on a forked slot for a
 speculative verify — with each span's KV history gathered once.
-Greedy and seeded output is bit-identical to per-prompt
-``generate_fast`` (see docs/KV_CACHE.md).
+Greedy output, and the output of a request carrying its own ``seed``,
+does not depend on batch composition: a prompt decodes to the same
+tokens alone or in a full batch (see docs/KV_CACHE.md).
 
 Sampling is per request (:class:`SamplingParams`: temperature, top-k,
 top-p, stop token, seed; the engine groups identical params into one
@@ -31,15 +30,11 @@ docs/SPECULATIVE.md).
 
 from .engine import (GenerationEngine, GenerationResult, PromptLimitError,
                      RequestTiming)
-from .kv_cache import KVCache, LayerKV, ragged_key_mask
 from .paged_kv import PagedKVCache, PagePoolExhausted, PrefixCache, SpanBatch
 from .sampling_params import SamplingParams, SamplingParamsError
 from .speculative import DraftModel, SpeculativeConfig, verify_draft
 
 __all__ = [
-    "KVCache",
-    "LayerKV",
-    "ragged_key_mask",
     "PagedKVCache",
     "PagePoolExhausted",
     "PrefixCache",

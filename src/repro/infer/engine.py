@@ -1,9 +1,10 @@
 """Continuous-batching generation engine over the paged KV cache.
 
-``TransformerLM.generate_fast`` serves one prompt at a time: N users cost
-N full decode loops.  :class:`GenerationEngine` instead keeps a fixed pool
-of ``batch_size`` cache slots and advances *every* active sequence per
-model step — one batched ``decode_step`` instead of one step per user.
+Serving one prompt at a time makes N users cost N full decode loops.
+:class:`GenerationEngine` instead keeps a fixed pool of ``batch_size``
+cache slots and advances *every* active sequence per model step — one
+batched ``decode_step`` instead of one step per user.
+``TransformerLM.generate_fast`` is this engine at ``batch_size=1``.
 Sequences are admitted from a queue, left-aligned at position 0 with
 their own per-slot length counters (so a new prompt prefills in the
 same model step in which older sequences decode), and retired
@@ -28,10 +29,10 @@ identical parameters into one vectorized
 the engine RNG in slot order.  When every slot shares the default
 parameters this collapses to exactly the old single batched call, so
 existing seeds keep producing identical streams; with a single slot the
-engine consumes the RNG exactly like ``generate_fast``, so a batch of
-one is bit-identical to the single-sequence path for the same seed.  A
-request with ``seed`` set draws from its own private RNG, making its
-trajectory independent of batch composition.
+engine consumes the RNG exactly like :meth:`TransformerLM.generate`
+draws it, one call per token.  A request with ``seed`` set draws from
+its own private RNG, making its trajectory independent of batch
+composition.
 
 Speculative decoding: passing a
 :class:`~repro.infer.SpeculativeConfig` makes every decode round draft
@@ -58,14 +59,15 @@ wait, prefill vs. decode split, time-to-first-token, and tokens/sec.
 touch the RNG stream, so instrumented decoding stays bit-identical.
 
 KV pages: the engine runs on :class:`~repro.infer.PagedKVCache` —
-admission reserves KV *pages* instead of assuming a dense
+admission reserves KV *pages* instead of assuming a
 ``slots x max_len`` buffer, prompts sharing a cached prefix skip the
 covered prefill positions, retirement and
 :meth:`GenerationEngine.cancel` return pages to the pool, and an
 oversubscribed pool preempts the youngest sequence instead of crashing
-mid-decode.  Greedy and seeded trajectories are bit-identical to
-per-prompt ``generate_fast`` on the dense cache (docs/KV_CACHE.md gives
-the argument, tests/test_paged_kv.py the proof).
+mid-decode.  Greedy and per-request-seeded trajectories do not depend
+on which other prompts share the batch: each equals the prompt decoded
+alone (docs/KV_CACHE.md gives the argument, tests/test_paged_kv.py the
+check).
 """
 
 from __future__ import annotations
@@ -213,7 +215,7 @@ class GenerationEngine:
         # verifies on scratch slot batch_size + i.  The pool is sized
         # for the *real* batch plus per-slot speculation headroom (the
         # span's fresh pages and one copy-on-write of the fork boundary
-        # page), not for 2x dense capacity.
+        # page), not for 2x full capacity.
         slots = batch_size
         num_pages = kv_num_pages
         if speculative is not None:

@@ -1,12 +1,13 @@
 """Paged KV cache: a vLLM-style block-pool allocator with prefix sharing.
 
-The dense :class:`~repro.infer.KVCache` preallocates ``slots x max_len``
-positions per layer, so memory scales with the *worst case* even when
-every live request is short, and identical prompt prefixes (a shared
-system prompt, few-shot headers) are recomputed and stored once per
-slot.  This module replaces that buffer with the serving-literature
-answer (paged attention + KV reuse, per the training-to-inference
-survey in PAPERS.md):
+The KV backend of every decode path — the batched
+:class:`~repro.infer.GenerationEngine` and, as its batch-1 case,
+``TransformerLM.generate_fast``.  A buffer of ``slots x max_len``
+positions per layer would scale with the *worst case* even when every
+live request is short, and would store identical prompt prefixes (a
+shared system prompt, few-shot headers) once per slot.  This module
+holds K/V the serving-literature way instead (paged attention + KV
+reuse, per the training-to-inference survey in PAPERS.md):
 
 - **Page pool** — K/V storage is carved into fixed-size *pages* of
   ``page_size`` token positions, held in one
@@ -36,21 +37,55 @@ batch axis.  :meth:`PagedKVCache.begin_spans` resolves it once per step
 mask) into a :class:`SpanBatch`, and every layer's
 :class:`PagedLayerKV` in ``cache.layers`` writes and gathers against
 it.  Reads gather the referenced pages into the contiguous
-``(B, H, t, hd)`` view the attention step expects.  Gathered values are
-bit-for-bit the same floats the dense buffer would hold and
-ragged-length masks come from the shared
-:func:`~repro.infer.kv_cache.ragged_key_mask`, so paged decoding is
-**bit-identical** to the dense ``generate_fast`` path whenever no
-sharing is in play — and still token-identical on cache hits, because
-shared pages hold exactly the keys/values an identical prefill would
-have produced.
+``(spans, H, t, hd)`` view the attention step expects: exactly the
+floats that were written, in position order, so a sequence's output
+does not depend on which pages hold it or on what else shares the
+batch — and cache hits stay token-identical, because shared pages hold
+exactly the keys/values an identical prefill would have produced.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kv_cache import kv_value_dtype, ragged_key_mask
+from ..dtypes import resolve_dtype
+
+
+def kv_value_dtype(model=None, dtype=None) -> np.dtype:
+    """The single policy point for the KV pool's *value* dtype.
+
+    Resolution order: an explicit ``dtype`` argument wins; otherwise the
+    ``model``'s parameter dtype (so a float32 model gets a float32 pool —
+    half the KV bytes per page); otherwise the process policy default.
+    Index and bookkeeping arrays (lengths, block tables, free lists,
+    refcounts) stay int64 regardless — they hold positions, not
+    activations.
+    """
+    if dtype is not None:
+        return resolve_dtype(dtype)
+    if model is not None and hasattr(model, "param_dtype"):
+        return model.param_dtype()
+    return resolve_dtype(None)
+
+
+def ragged_key_mask(new_lens: np.ndarray, lo: int, t_max: int,
+                    window: int | None, dtype=np.float64) -> np.ndarray | None:
+    """Additive ``(n, t_max - lo)`` key mask for rows at mixed lengths.
+
+    Returns ``None`` when every row sits at ``t_max`` (uniform lengths
+    need no masking — the exact single-sequence code path).  0 on
+    positions a row may attend to, ``-inf`` on unwritten tails and (with
+    a local-attention ``window``) positions that have slid out of the
+    row's band.  ``dtype`` should match the attention scores the mask is
+    added to, so a float32 decode step is not upcast by its mask.
+    """
+    if int(new_lens.min()) == t_max:
+        return None
+    positions = lo + np.arange(t_max - lo)
+    valid = positions[None, :] < new_lens[:, None]
+    if window is not None:
+        valid &= positions[None, :] >= new_lens[:, None] - window
+    return np.where(valid, 0.0, -np.inf).astype(dtype, copy=False)
 
 
 class PagePoolExhausted(RuntimeError):
@@ -331,7 +366,7 @@ class PagedKVCache:
     use :meth:`try_admit`, :meth:`span_page_need`,
     :meth:`register_prefix` and :meth:`fork_slot`.
 
-    ``num_pages`` defaults to dense-equivalent capacity
+    ``num_pages`` defaults to full capacity
     (``batch_size * ceil(max_seq_len / page_size)``) so a default
     engine can never run out of pages; size it smaller to oversubscribe
     slots against real memory, with admission/preemption absorbing the
@@ -357,7 +392,7 @@ class PagedKVCache:
         if window is not None and window < 1:
             raise ValueError("window must be >= 1 when set")
         if num_pages is None:
-            # Dense-equivalent capacity: every slot can reach max_seq_len,
+            # Full capacity: every slot can reach max_seq_len at once,
             # so a default engine can never exhaust the pool.  Sizing
             # num_pages smaller opts into oversubscription — the engine
             # then bounds each request by pool capacity at submit and
@@ -395,7 +430,7 @@ class PagedKVCache:
         """Size a cache from a :class:`TransformerLM`-style ``model.config``.
 
         The page-pool dtype follows the model's parameter dtype via
-        :func:`~repro.infer.kv_cache.kv_value_dtype` (explicit ``dtype``
+        :func:`kv_value_dtype` (explicit ``dtype``
         overrides), halving KV bytes per page for a float32 model.
         """
         cfg = model.config

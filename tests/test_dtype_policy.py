@@ -1,4 +1,4 @@
-"""The dtype policy (ISSUE 10): float32 compute as an opt-in, float64 law.
+"""The dtype policy: float32 compute as an opt-in, float64 law.
 
 What must hold, layer by layer:
 
@@ -13,8 +13,8 @@ What must hold, layer by layer:
   parameters, produces float32 activations/gradients, and draws the
   *identical RNG stream* as its float64 twin (initializers sample in
   float64 and cast), so the two models are the same numbers rounded.
-- **KV plumbing** — both cache backends resolve their pool dtype through
-  :func:`repro.infer.kv_cache.kv_value_dtype`; a float32 model's pool
+- **KV plumbing** — the paged KV cache resolves its pool dtype through
+  :func:`repro.infer.paged_kv.kv_value_dtype`; a float32 model's pool
   holds exactly half the bytes; index arrays stay int64.
 - **Checkpoints** — round-trips preserve dtype; a strict load of
   mismatched-dtype arrays is a loud :class:`CheckpointError`, never a
@@ -32,9 +32,8 @@ from repro.core import TransformerConfig, TransformerLM
 from repro.core.attention import causal_mask
 from repro.dtypes import (default_dtype, dtype_scope, resolve_dtype,
                           set_default_dtype)
-from repro.infer import GenerationEngine, KVCache, SamplingParams
-from repro.infer.kv_cache import kv_value_dtype
-from repro.infer.paged_kv import PagedKVCache
+from repro.infer import GenerationEngine, SamplingParams
+from repro.infer.paged_kv import PagedKVCache, kv_value_dtype
 from repro.nn import MLP
 from repro.train.checkpoint import (CheckpointError, load_checkpoint,
                                     save_checkpoint)
@@ -156,18 +155,18 @@ class TestKVPlumbing:
         assert kv_value_dtype(m32) == np.float32
         assert kv_value_dtype(m32, dtype="float64") == np.float64
 
-    @pytest.mark.parametrize("cls", [KVCache, PagedKVCache],
-                             ids=["dense", "paged"])
-    def test_pool_follows_model_and_halves_bytes(self, cls):
+    def test_pool_follows_model_and_halves_bytes(self):
         m64, m32 = tiny_model(), tiny_model(dtype="float32")
-        c64 = cls.for_model(m64, batch_size=2)
-        c32 = cls.for_model(m32, batch_size=2)
+        c64 = PagedKVCache.for_model(m64, batch_size=2)
+        c32 = PagedKVCache.for_model(m32, batch_size=2)
         assert c64.dtype == np.float64 and c32.dtype == np.float32
         assert c64.nbytes == 2 * c32.nbytes
 
     def test_index_arrays_stay_int64(self):
-        cache = KVCache.for_model(tiny_model(dtype="float32"), batch_size=2)
+        cache = PagedKVCache.for_model(tiny_model(dtype="float32"),
+                                       batch_size=2)
         assert cache.lengths.dtype == np.int64
+        assert cache.refcounts.dtype == np.int64
 
     def test_engine_stats_report_dtype(self):
         for dtype, name in ((None, "float64"), ("float32", "float32")):

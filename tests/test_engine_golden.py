@@ -17,7 +17,10 @@ a per-request seed makes a trajectory independent of preemption.
 
 The record itself is checked against an oracle that is not the engine:
 greedy tokens in every case, and seeded tokens under plain decoding,
-equal per-prompt ``generate_fast``.
+equal per-prompt :meth:`~repro.core.TransformerLM.generate`, which
+re-runs the full ``forward()`` per token and never touches a KV cache.
+(``generate_fast`` is a batch-1 engine, so it would not be independent;
+the test keeps its name so its id stays stable.)
 """
 
 import numpy as np
@@ -61,7 +64,7 @@ def test_golden_tokens_match_generate_fast(name):
             continue
         rng = None if params.seed is None else \
             np.random.default_rng(params.seed)
-        assert record["tokens"] == model.generate_fast(
+        assert record["tokens"] == model.generate(
             prompt, max_new, rng=rng, temperature=params.temperature,
             top_k=params.top_k, top_p=params.top_p, greedy=params.greedy,
             stop_token=params.stop_token), (kind, prompt)

@@ -5,11 +5,15 @@ refcounts, copy-on-write forks, span plans and exhaustion in the raw
 :class:`~repro.infer.PagedKVCache`.  Prefix cache: chained keying, LRU
 eviction, idempotent registration.  Engine integration: greedy and
 per-request-seeded engine batches are **bit-identical to per-prompt
-``generate_fast``** on the dense :class:`~repro.infer.KVCache`, prefix
-hits skip prefill without changing trajectories, pool exhaustion
-mid-decode preempts-and-queues instead of crashing, and cancel/finish
-reclaim pages.  Unseeded shared-RNG batches are pinned by the golden
-trajectories in tests/test_engine_golden.py.
+``generate_fast``** — the same prompt decoded alone on a batch-1
+engine — so output does not depend on batch composition; prefix hits
+skip prefill without changing trajectories, pool exhaustion mid-decode
+preempts-and-queues instead of crashing, and cancel/finish reclaim
+pages.  Oracles that are not the engine: gathered histories equal the
+K/V fed in, and step logits equal ``forward()`` (within 1e-9).
+Unseeded shared-RNG batches are pinned by the golden trajectories in
+tests/test_engine_golden.py, whose greedy and seeded tokens are checked
+against the full-forward ``generate``.
 """
 
 import numpy as np
@@ -59,12 +63,16 @@ def history(cache, slot, n, layer=0):
 class TestPagePool:
     def test_pages_allocated_on_demand_not_up_front(self):
         cache = make_cache(prefix_sharing=False)
+        pool = cache._k, cache._v
         assert cache.used_pages == 0
         decode_one(cache, 0, np.random.default_rng(0), steps=5)
         # 5 positions at page_size 4 -> exactly 2 pages, for all layers
         assert cache.block_tables[0] == [0, 1]
         assert cache.used_pages == 2
         assert cache.lengths[0] == 5
+        # pages come out of the one pool allocation; appends never
+        # reallocate it
+        assert cache._k is pool[0] and cache._v is pool[1]
 
     def test_reset_slot_returns_pages_to_free_list(self):
         cache = make_cache(prefix_sharing=False)
@@ -88,28 +96,30 @@ class TestPagePool:
         decode_one(cache, 0, np.random.default_rng(0), steps=8)
         with pytest.raises(ValueError, match="overflow"):
             decode_one(cache, 0, np.random.default_rng(0), steps=1)
+        # The constructor guards: every dimension >= 1, a set window
+        # >= 1, a pool of at least one page.
+        for dim in ("num_layers", "batch_size", "num_heads", "max_seq_len",
+                    "head_dim", "page_size"):
+            with pytest.raises(ValueError, match="dimensions must be >= 1"):
+                make_cache(**{dim: 0})
+        with pytest.raises(ValueError, match="window"):
+            make_cache(window=0)
+        with pytest.raises(ValueError, match="num_pages"):
+            make_cache(num_pages=0)
 
     def test_gather_matches_dense_layout_bitwise(self):
-        """Each span's gathered history is its slot's dense-buffer layout
-        bit for bit, however many rows the span has."""
-        from repro.infer import KVCache
+        """Each span's gathered history is the K/V fed in for its slot,
+        laid out contiguously as (H, t, hd) bit for bit, however many
+        rows the span has."""
         rng = np.random.default_rng(7)
         paged = make_cache(prefix_sharing=False)
-        dense = KVCache(num_layers=2, batch_size=3, num_heads=2,
-                        max_seq_len=32, head_dim=8)
         kv = [(rng.standard_normal((7, 2, 8)), rng.standard_normal((7, 2, 8)))
               for _ in range(3)]
-        ref = {}
 
-        def dense_upto(slot, end):
-            """Feed the dense cache one position per step up to ``end``."""
-            for pos in range(int(dense.lengths[slot]), end):
-                dense.set_active(np.array([slot]))
-                ret = [layer.append(kv[slot][0][pos:pos + 1],
-                                    kv[slot][1][pos:pos + 1])
-                       for layer in dense.layers]
-                dense.advance()
-                ref[slot] = [(kd[0], vd[0]) for kd, vd, *_ in ret]
+        def fed(slot, end):
+            """Positions 0 .. end-1 of a slot's K/V as (H, end, hd)."""
+            return (kv[slot][0][:end].transpose(1, 0, 2),
+                    kv[slot][1][:end].transpose(1, 0, 2))
 
         # Ragged lengths 5, 3, 5 written as spans of mixed widths; the
         # 5-row span crosses a page boundary.
@@ -122,31 +132,30 @@ class TestPagePool:
                        for layer in paged.layers]
                 paged.commit_span(slot, start + m)
                 start += m
-                dense_upto(slot, start)
-                for (kp, vp, *_), (kd, vd) in zip(ret, ref[slot]):
+                want_k, want_v = fed(slot, start)
+                for kp, vp, *_ in ret:
                     assert kp.shape[0] == 1        # one history per span
-                    assert np.array_equal(kp[0], kd)
-                    assert np.array_equal(vp[0], vd)
+                    assert np.array_equal(kp[0], want_k)
+                    assert np.array_equal(vp[0], want_v)
         # Mixed batch: a one-row span between two wider ones.  Histories
         # come back single-row spans first; each matches its slot's
-        # dense layout wherever its rows' masks let a key through.
+        # K/V wherever its rows' masks let a key through.
         spans = [(1, 3, 3), (0, 5, 1), (2, 5, 2)]
         paged.begin_spans(spans)
         k = np.concatenate([kv[s][0][a:a + m] for s, a, m in spans])
         v = np.concatenate([kv[s][1][a:a + m] for s, a, m in spans])
-        for slot, start, m in spans:
-            dense_upto(slot, start + m)
+        ends = {slot: start + m for slot, start, m in spans}
         positions = np.array([3, 4, 5, 5, 5, 6])
-        for layer, lp in enumerate(paged.layers):
+        for lp in paged.layers:
             kp, vp, mp, (single, wide) = lp.append(k, v)
             assert single.tolist() == [3] and wide == [(0, 3), (4, 2)]
             np.testing.assert_array_equal(
                 np.isneginf(mp), np.arange(7)[None, :] > positions[:, None])
             for i, slot in enumerate((0, 1, 2)):   # single-row span first
-                kd, vd = ref[slot][layer]
-                end = kd.shape[1]
-                assert np.array_equal(kp[i][:, :end], kd)
-                assert np.array_equal(vp[i][:, :end], vd)
+                end = ends[slot]
+                want_k, want_v = fed(slot, end)
+                assert np.array_equal(kp[i][:, :end], want_k)
+                assert np.array_equal(vp[i][:, :end], want_v)
 
 
 class TestCopyOnWrite:
@@ -269,8 +278,9 @@ class TestPrefixCache:
 
 
 def solo_reference(model, prompt, max_new, params):
-    """Per-prompt ``generate_fast`` on the dense cache: the oracle a
-    greedy or per-request-seeded engine request must reproduce."""
+    """Per-prompt ``generate_fast`` — the prompt alone on a batch-1
+    engine: what a greedy or per-request-seeded request must reproduce
+    whatever else shares its batch."""
     rng = None if params.seed is None else np.random.default_rng(params.seed)
     return model.generate_fast(prompt, max_new, rng=rng,
                                temperature=params.temperature,
@@ -294,8 +304,8 @@ def engine_vs_solo(model, prompts, max_new, params, batch_size):
 class TestWideSpans:
     """A prompt fed as one span, in a step that also holds one-row
     decoders, reads one shared history per span and still gives the
-    full forward pass's logits; a step of one-row spans only is the
-    dense per-row path bit for bit."""
+    full forward pass's logits; a step of one-row spans only does not
+    depend on page layout by a single bit."""
 
     @staticmethod
     def step(model, cache, spans, tokens):
@@ -334,25 +344,33 @@ class TestWideSpans:
                 rtol=0, atol=1e-9)
 
     def test_one_row_spans_are_the_dense_path_bitwise(self):
-        from repro.infer import KVCache
+        """A step of one-row spans over ragged sequences: bit for bit the
+        same step on a cache with another page layout, each row its
+        sequence stepped alone on a batch-1 cache up to BLAS round-off
+        (a different batch size may pick a different matmul kernel),
+        and the full forward pass's last-position logits within 1e-9."""
         model = tiny_model()
         rng = np.random.default_rng(4)
         seqs = [list(rng.integers(0, 13, size=n)) for n in (9, 5, 7)]
-        paged = PagedKVCache.for_model(model, 3, page_size=4)
-        dense = KVCache.for_model(model, 3)
-        # Identical batch compositions on both caches, step for step.
+        batched = PagedKVCache.for_model(model, 3, page_size=4)
+        repaged = PagedKVCache.for_model(model, 3, page_size=16)
+        alone = [PagedKVCache.for_model(model, 1, page_size=4) for _ in seqs]
         for t in range(9):
             slots = [s for s, seq in enumerate(seqs) if t < len(seq)]
+            spans = [(s, t, 1) for s in slots]
             tokens = [seqs[s][t] for s in slots]
-            want = self.step(model, paged, [(s, t, 1) for s in slots], tokens)
-            assert paged._plan.spans is None
-            dense.set_active(np.array(slots))
-            got = model.decode_step(np.asarray(tokens), [t] * len(slots),
-                                    dense.layers)
-            dense.advance()
-            for s in slots:
-                paged.commit_span(s, t + 1)
-            assert np.array_equal(got, want)
+            got = self.step(model, batched, spans, tokens)
+            assert batched._plan.spans is None
+            assert np.array_equal(got, self.step(model, repaged, spans,
+                                                 tokens))
+            for row, s in enumerate(slots):
+                solo = self.step(model, alone[s], [(0, t, 1)], [seqs[s][t]])
+                for cache, slot in ((alone[s], 0), (batched, s), (repaged, s)):
+                    cache.commit_span(slot, t + 1)
+                np.testing.assert_allclose(got[row], solo[0], rtol=0,
+                                           atol=1e-13)
+                full = model.forward(np.asarray(seqs[s][:t + 1])).data[0, -1]
+                np.testing.assert_allclose(got[row], full, rtol=0, atol=1e-9)
 
 
 class TestEngineEquivalence:
@@ -362,10 +380,10 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("sampling", SAMPLING,
                              ids=["greedy", "topk", "topp"])
     def test_paged_bit_identical_to_dense_multi_slot(self, sampling):
-        """The tentpole guarantee: a ragged multi-slot batch with
-        queueing decodes, request for request, exactly what per-prompt
-        ``generate_fast`` does on the dense cache — greedy, or
-        stochastic with a per-request seed — in both compute dtypes."""
+        """A ragged multi-slot batch with queueing decodes, request for
+        request, exactly what each prompt decodes alone
+        (``generate_fast``) — greedy, or stochastic with a per-request
+        seed — in both compute dtypes."""
         prompts = [[1, 2, 3], [4, 5], [6, 7, 8, 9, 1, 2, 3, 4], [2],
                    [3, 1, 4, 1, 5], [9, 8, 7]]
         seeded = "greedy" not in sampling
